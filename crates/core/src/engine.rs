@@ -46,6 +46,12 @@
 //! order, same Phase-2 RNG consumption — for every seed, thread count and
 //! variant. A parity suite (`tests/engine_parity.rs`) enforces this.
 //!
+//! The engine owns the working graph for the whole run: it moves in at
+//! construction and back out through [`SearchEngine::into_graph`], so
+//! nothing but the engine's own commits can change it. The CSR view is
+//! therefore frozen once, on the first round, and every commit patches
+//! it in step with the graph.
+//!
 //! Thread fan-out goes through one persistent [`WorkerPool`] created
 //! lazily per engine (so per run), replacing the per-round thread spawns
 //! that made small rounds slower at 2/4 threads than at 1.
@@ -105,46 +111,35 @@ impl FlagSet {
     }
 }
 
-/// A run-long bidirectional-search engine: executes rounds of
-/// Algorithm 3 while maintaining the frozen CSR view, the MHH memo, and
-/// the previous round's maximal cliques and scores incrementally across
-/// rounds (see the [module docs](self) for the invalidation rules).
+/// A run-long bidirectional-search engine: owns the working graph and
+/// executes rounds of Algorithm 3 against it, maintaining the CSR view,
+/// the MHH memo, and the previous round's maximal cliques and scores
+/// incrementally across rounds (see the [module docs](self) for the
+/// invalidation rules).
 ///
-/// One engine serves one `(graph, scorer)` run: feed every round the same
-/// working graph (mutated only by the engine's own commits) and the same
-/// scorer. The engine detects a swapped graph via its edge/weight totals
-/// and recovers by re-freezing, but a swapped *scorer* between rounds
-/// would silently reuse the old scorer's carried scores — don't.
+/// One engine serves one `(graph, scorer)` run. The graph moves in at
+/// construction and out through [`Self::into_graph`], and only the
+/// engine's own commits mutate it, so the CSR view is patched on every
+/// commit and never has to be re-frozen. Feed every round the same
+/// scorer: a swapped scorer between rounds would silently reuse the old
+/// scorer's carried scores.
 ///
 /// [`crate::search::bidirectional_search_threaded`] wraps a fresh engine
 /// around a single round (exactly the pre-engine behaviour);
 /// [`crate::reconstruct::reconstruct_observed`] keeps one engine for the
 /// whole outer loop.
 pub struct SearchEngine {
+    /// The working graph, decremented by every commit.
+    g: ProjectedGraph,
     threads: usize,
     incremental: bool,
     /// Pin pool workers to cores when the pool is first created.
     pin_cores: bool,
     /// Created on first parallel-eligible stage; persists for the run.
     pool: OnceLock<WorkerPool>,
-    /// CSR view patched in step with every commit (while `view_live`).
+    /// CSR view of `g`, frozen on the first round (every round in
+    /// full-rebuild mode) and patched in step with every commit.
     view: Option<GraphView>,
-    /// Whether `view` currently mirrors the graph. A round whose commits
-    /// exceed [`Self::bulk_threshold`] pairs stops patching (validating
-    /// against the hash graph instead, like the pre-engine path) and the
-    /// next view consumer re-freezes once — patching each of `N ≫ E`
-    /// removed pairs individually costs more than one fresh freeze.
-    view_live: bool,
-    /// Pairs patched into the view since the round started.
-    patched_pairs: usize,
-    /// The edge count and total weight `g` must have if it is still the
-    /// graph this engine has been committing into — maintained through
-    /// every decrement (bulk mode included), so a swapped graph is
-    /// detected even while the view snapshot has lapsed.
-    expect_edges: usize,
-    expect_weight: u64,
-    /// Per-round patching budget before the engine goes bulk.
-    bulk_threshold: usize,
     /// Cached degeneracy ordering and its inverse. Any permutation keeps
     /// enumeration *correct* (emission roots at the min-rank member;
     /// output is sorted); only its efficiency degrades as the graph
@@ -170,31 +165,28 @@ pub struct SearchEngine {
 }
 
 impl SearchEngine {
-    /// A fresh incremental engine fanning out over up to `threads`
-    /// threads (1 = fully serial; results are identical either way).
-    pub fn new(threads: usize) -> SearchEngine {
-        SearchEngine::with_mode(threads, true)
+    /// A fresh incremental engine over the working graph `g`, fanning
+    /// out over up to `threads` threads (1 = fully serial; results are
+    /// identical either way).
+    pub fn new(g: ProjectedGraph, threads: usize) -> SearchEngine {
+        SearchEngine::with_mode(g, threads, true)
     }
 
     /// An engine that re-freezes and re-enumerates everything every
     /// round — the pre-engine behaviour, kept for benchmarking and for
     /// the bit-parity suite. Still uses the persistent worker pool.
-    pub fn full_rebuild(threads: usize) -> SearchEngine {
-        SearchEngine::with_mode(threads, false)
+    pub fn full_rebuild(g: ProjectedGraph, threads: usize) -> SearchEngine {
+        SearchEngine::with_mode(g, threads, false)
     }
 
-    fn with_mode(threads: usize, incremental: bool) -> SearchEngine {
+    fn with_mode(g: ProjectedGraph, threads: usize, incremental: bool) -> SearchEngine {
         SearchEngine {
+            g,
             threads: threads.max(1),
             incremental,
             pin_cores: false,
             pool: OnceLock::new(),
             view: None,
-            view_live: false,
-            patched_pairs: 0,
-            expect_edges: 0,
-            expect_weight: 0,
-            bulk_threshold: 0,
             order: Vec::new(),
             rank: Vec::new(),
             edges_at_order: 0,
@@ -207,6 +199,16 @@ impl SearchEngine {
             mhh_stale: FlagSet::default(),
             closure: FlagSet::default(),
         }
+    }
+
+    /// The working graph: the input minus every commit so far.
+    pub fn graph(&self) -> &ProjectedGraph {
+        &self.g
+    }
+
+    /// Ends the run, handing back the working graph.
+    pub fn into_graph(self) -> ProjectedGraph {
+        self.g
     }
 
     /// Whether this engine carries state across rounds.
@@ -231,21 +233,20 @@ impl SearchEngine {
             .get_or_init(|| WorkerPool::with_affinity(self.threads, self.pin_cores))
     }
 
-    /// Runs one bidirectional-search round (Algorithm 3) against `g`,
-    /// committing into `reconstruction`. Semantics, statistics, commit
-    /// order and RNG consumption are identical to the historical
-    /// rebuild-every-round implementation.
+    /// Runs one bidirectional-search round (Algorithm 3) against the
+    /// working graph, committing into `reconstruction`. Semantics,
+    /// statistics, commit order and RNG consumption are identical to the
+    /// historical rebuild-every-round implementation.
     ///
     /// # Errors
     ///
     /// Returns [`MariohError::Cancelled`] if `cancel` fires at the round
-    /// entry or between the two phases; `g` and `reconstruction` may then
-    /// hold partially committed state (callers owning the run discard
-    /// both).
+    /// entry or between the two phases; the working graph and
+    /// `reconstruction` may then hold partially committed state (callers
+    /// owning the run discard both).
     #[allow(clippy::too_many_arguments)] // mirrors Algorithm 3's parameter list
     pub fn round<R: Rng + ?Sized>(
         &mut self,
-        g: &mut ProjectedGraph,
         scorer: &dyn CliqueScorer,
         theta: f64,
         neg_ratio: f64,
@@ -260,8 +261,8 @@ impl SearchEngine {
         let t0 = Instant::now();
         let mut stats = SearchStats::default();
 
-        self.sync_view(g);
-        let (cliques, scores) = self.cliques_and_scores(g, scorer, &mut stats);
+        self.sync_view();
+        let (cliques, scores) = self.cliques_and_scores(scorer, &mut stats);
         stats.cliques_enumerated = cliques.len();
         if cliques.is_empty() {
             self.store_prev(cliques, scores);
@@ -288,24 +289,10 @@ impl SearchEngine {
         });
 
         // --- Phase 1: most promising cliques ---
-        // If this phase is about to decrement more pairs than the
-        // round's patching budget, skip view maintenance wholesale: one
-        // re-freeze before the next view consumer is cheaper. The naive
-        // pair sum over-counts when positives overlap (later ones fail
-        // validation and decrement nothing), so cap it by the total
-        // weight actually available to remove.
-        let phase1_pairs: usize = positives
-            .iter()
-            .map(|&(_, i)| cliques[i].len() * (cliques[i].len() - 1) / 2)
-            .sum();
-        let phase1_pairs = phase1_pairs.min(g.total_weight() as usize);
-        if self.view_live && self.patched_pairs + phase1_pairs > self.bulk_threshold {
-            self.view_live = false;
-        }
         {
             let _span = marioh_obs::Span::enter("commit");
             for &(_, i) in &positives {
-                if self.try_commit(g, &cliques[i], reconstruction) {
+                if self.try_commit(&cliques[i], reconstruction) {
                     stats.committed_phase1 += 1;
                 }
             }
@@ -336,7 +323,7 @@ impl SearchEngine {
             for k in 2..clique.len() {
                 let sub = sample_k_subset(rng, clique, k);
                 stats.subcliques_sampled += 1;
-                if g.is_clique(&sub) {
+                if self.g.is_clique(&sub) {
                     candidates.push(sub);
                 }
                 // else: an earlier commit removed one of its edges
@@ -348,7 +335,7 @@ impl SearchEngine {
         let sub_scores = if candidates.is_empty() {
             Vec::new()
         } else {
-            self.score_pass(g, scorer, &candidates)
+            self.score_pass(scorer, &candidates)
         };
         let mut sub_scored: Vec<(f64, Vec<NodeId>)> = sub_scores
             .into_iter()
@@ -360,18 +347,10 @@ impl SearchEngine {
                 .expect("NaN score")
                 .then(a.1.cmp(&b.1))
         });
-        let phase2_pairs: usize = sub_scored
-            .iter()
-            .map(|(_, sub)| sub.len() * (sub.len() - 1) / 2)
-            .sum();
-        let phase2_pairs = phase2_pairs.min(g.total_weight() as usize);
-        if self.view_live && self.patched_pairs + phase2_pairs > self.bulk_threshold {
-            self.view_live = false;
-        }
         {
             let _span = marioh_obs::Span::enter("commit");
             for (_, sub) in &sub_scored {
-                if self.try_commit(g, sub, reconstruction) {
+                if self.try_commit(sub, reconstruction) {
                     stats.committed_phase2 += 1;
                 }
             }
@@ -381,88 +360,38 @@ impl SearchEngine {
         Ok(stats)
     }
 
-    /// Ensures the engine's view mirrors `g` at a round boundary. On the
-    /// first round (or in full-rebuild mode, or after a caller swapped
-    /// graphs) this re-freezes and drops all carried state; after a bulk
-    /// round it re-freezes the view only, keeping cliques/scores/dirt
-    /// (they track the graph, not the view). Also resets the round's
-    /// patching budget.
-    fn sync_view(&mut self, g: &ProjectedGraph) {
-        let in_sync = self.incremental
-            && self.view_live
-            && self.view.as_ref().is_some_and(|v| {
-                v.num_nodes() == g.num_nodes()
-                    && v.num_edges() == g.num_edges()
-                    && v.total_weight() == g.total_weight()
-            });
-        if in_sync {
-            #[cfg(debug_assertions)]
-            {
-                let v = self.view.as_ref().expect("checked above");
-                for u in (0..g.num_nodes()).map(NodeId) {
-                    debug_assert_eq!(v.degree(u), g.degree(u), "view out of sync at {u}");
-                    debug_assert_eq!(v.weighted_degree(u), g.weighted_degree(u));
+    /// Ensures the engine's view mirrors `g` at a round boundary. Every
+    /// commit patches the view, so only the first round (every round in
+    /// full-rebuild mode) freezes it, dropping all carried state.
+    fn sync_view(&mut self) {
+        if self.incremental {
+            if let Some(v) = self.view.as_ref() {
+                #[cfg(debug_assertions)]
+                for u in (0..self.g.num_nodes()).map(NodeId) {
+                    debug_assert_eq!(v.degree(u), self.g.degree(u), "view out of sync at {u}");
+                    debug_assert_eq!(v.weighted_degree(u), self.g.weighted_degree(u));
                 }
+                debug_assert_eq!(v.num_edges(), self.g.num_edges());
+                debug_assert_eq!(v.total_weight(), self.g.total_weight());
+                return;
             }
-        } else if self.incremental
-            && !self.view_live
-            && self
-                .view
-                .as_ref()
-                .is_some_and(|v| v.num_nodes() == g.num_nodes())
-            && g.num_edges() == self.expect_edges
-            && g.total_weight() == self.expect_weight
-            && self.has_prev_shape()
-        {
-            // Bulk-round recovery: the graph is still ours — the engine
-            // performed every decrement itself, so the tracked totals
-            // vouch for it even though the view snapshot lapsed. Only
-            // the snapshot needs rebuilding.
-            self.refreeze(g);
-        } else {
-            // First round, full-rebuild mode, or an unfamiliar graph:
-            // drop everything.
-            let n = g.num_nodes() as usize;
-            self.refreeze(g);
-            let (order, rank) = ordering(self.view.as_ref().expect("just frozen"));
-            self.edges_at_order = self.view.as_ref().expect("just frozen").num_edges();
-            self.order = order;
-            self.rank = rank;
-            self.prev_cliques = Vec::new();
-            self.prev_scores = Vec::new();
-            self.has_prev = false;
-            self.changed.reset(n);
-            self.removed.reset(n);
-            self.mhh_stale.reset(n);
-            self.closure.reset(n);
         }
-        self.patched_pairs = 0;
-        self.bulk_threshold = self.view.as_ref().expect("view set").num_edges() / 4 + 64;
-    }
-
-    /// Whether the engine's carried state plausibly belongs to the
-    /// current run (dirt flag arrays sized, i.e. a first sync happened).
-    fn has_prev_shape(&self) -> bool {
-        !self.changed.flag.is_empty()
-    }
-
-    /// Snapshots `g` into a fresh view; any slot-indexed side state (the
-    /// MHH memo) is layout-bound to the old view and dropped.
-    fn refreeze(&mut self, g: &ProjectedGraph) {
-        self.view = Some(GraphView::freeze(g));
-        self.view_live = true;
-        self.expect_edges = g.num_edges();
-        self.expect_weight = g.total_weight();
+        let n = self.g.num_nodes() as usize;
+        let view = GraphView::freeze(&self.g);
+        let (order, rank) = ordering(&view);
+        self.edges_at_order = view.num_edges();
+        self.order = order;
+        self.rank = rank;
+        self.view = Some(view);
+        // The memo is slot-indexed, i.e. layout-bound to the old view.
         self.mhh = None;
-        self.mhh_stale.clear();
-    }
-
-    /// Re-freezes mid-round after bulk commits left the view stale (the
-    /// cached ordering stays — any permutation is valid).
-    fn ensure_view_live(&mut self, g: &ProjectedGraph) {
-        if !self.view_live {
-            self.refreeze(g);
-        }
+        self.prev_cliques = Vec::new();
+        self.prev_scores = Vec::new();
+        self.has_prev = false;
+        self.changed.reset(n);
+        self.removed.reset(n);
+        self.mhh_stale.reset(n);
+        self.closure.reset(n);
     }
 
     /// Refreshes the cached degeneracy ordering once the graph has shed
@@ -485,7 +414,6 @@ impl SearchEngine {
     /// round's snapshot.
     fn cliques_and_scores(
         &mut self,
-        g: &ProjectedGraph,
         scorer: &dyn CliqueScorer,
         stats: &mut SearchStats,
     ) -> (Vec<Vec<NodeId>>, Vec<f64>) {
@@ -506,7 +434,7 @@ impl SearchEngine {
                     maximal_cliques_ranked(view, &self.order, &self.rank)
                 }
             };
-            let scores = self.score_pass(g, scorer, &cliques);
+            let scores = self.score_pass(scorer, &cliques);
             stats.cliques_rescored = cliques.len();
             return (cliques, scores);
         }
@@ -654,13 +582,13 @@ impl SearchEngine {
         //    → score the list directly; otherwise the stale cliques are
         //    moved out and back (pointer swaps), never cloned.
         if rescore_idx.len() == cliques.len() {
-            scores = self.score_pass(g, scorer, &cliques);
+            scores = self.score_pass(scorer, &cliques);
         } else if !rescore_idx.is_empty() {
             let mut gathered: Vec<Vec<NodeId>> = rescore_idx
                 .iter()
                 .map(|&i| std::mem::take(&mut cliques[i]))
                 .collect();
-            let rescored = self.score_pass(g, scorer, &gathered);
+            let rescored = self.score_pass(scorer, &gathered);
             for (j, &i) in rescore_idx.iter().enumerate() {
                 cliques[i] = std::mem::take(&mut gathered[j]);
                 scores[i] = rescored[j];
@@ -676,14 +604,8 @@ impl SearchEngine {
 
     /// Scores one batch against the engine's frozen state, syncing the
     /// MHH memo first and keeping any memo a lazy scorer builds.
-    fn score_pass(
-        &mut self,
-        g: &ProjectedGraph,
-        scorer: &dyn CliqueScorer,
-        cliques: &[Vec<NodeId>],
-    ) -> Vec<f64> {
+    fn score_pass(&mut self, scorer: &dyn CliqueScorer, cliques: &[Vec<NodeId>]) -> Vec<f64> {
         let _span = marioh_obs::Span::enter("scoring");
-        self.ensure_view_live(g);
         self.sync_mhh();
         let parallel = self.threads > 1 && score_work(cliques) >= SCORE_PARALLEL_MIN_WORK;
         if parallel {
@@ -691,7 +613,7 @@ impl SearchEngine {
             self.pool();
         }
         let view = self.view.as_ref().expect("view synced");
-        let mut ctx = RoundContext::with_frozen(g, view, self.mhh.as_ref(), self.threads);
+        let mut ctx = RoundContext::with_frozen(&self.g, view, self.mhh.as_ref(), self.threads);
         // Lazy MHH builds ride the persistent pool when one exists (it
         // is created lazily by the first parallel-eligible stage — small
         // runs that never fan out keep spawning nothing at all). If the
@@ -740,56 +662,21 @@ impl SearchEngine {
     /// `g`), after which every decrement is known to succeed — the
     /// mutation pass touches each hash-map entry once and can never need
     /// a rollback.
-    fn try_commit(
-        &mut self,
-        g: &mut ProjectedGraph,
-        clique: &[NodeId],
-        reconstruction: &mut Hypergraph,
-    ) -> bool {
-        if self.view_live && self.patched_pairs > self.bulk_threshold {
-            // This round's commits outweigh a fresh freeze: stop paying
-            // per-pair view maintenance and let the next view consumer
-            // re-freeze once (the pre-engine cost profile, adaptively).
-            self.view_live = false;
+    fn try_commit(&mut self, clique: &[NodeId], reconstruction: &mut Hypergraph) -> bool {
+        let view = self.view.as_mut().expect("view synced");
+        if !view.is_clique(clique) {
+            return false;
         }
-        if self.view_live {
-            let view = self.view.as_mut().expect("view synced");
-            if !view.is_clique(clique) {
-                return false;
-            }
-            let e = Hyperedge::new(clique.iter().copied()).expect("clique has >= 2 nodes");
-            reconstruction.add_edge(e);
-            for (i, &u) in clique.iter().enumerate() {
-                for &v in &clique[i + 1..] {
-                    let gone = view.decrement_unit(u, v);
-                    let gone_g = g.decrement_unit(u, v);
-                    debug_assert_eq!(gone, gone_g);
-                    self.patched_pairs += 1;
-                    self.expect_weight -= 1;
-                    if gone {
-                        self.expect_edges -= 1;
-                        self.removed.mark(u);
-                        self.removed.mark(v);
-                    }
-                }
-            }
-        } else {
-            // Bulk mode: the hash graph is the single source of truth
-            // (identical validation answer — the live view only mirrors
-            // it).
-            if !g.is_clique(clique) {
-                return false;
-            }
-            let e = Hyperedge::new(clique.iter().copied()).expect("clique has >= 2 nodes");
-            reconstruction.add_edge(e);
-            for (i, &u) in clique.iter().enumerate() {
-                for &v in &clique[i + 1..] {
-                    self.expect_weight -= 1;
-                    if g.decrement_unit(u, v) {
-                        self.expect_edges -= 1;
-                        self.removed.mark(u);
-                        self.removed.mark(v);
-                    }
+        let e = Hyperedge::new(clique.iter().copied()).expect("clique has >= 2 nodes");
+        reconstruction.add_edge(e);
+        for (i, &u) in clique.iter().enumerate() {
+            for &v in &clique[i + 1..] {
+                let gone = view.decrement_unit(u, v);
+                let gone_g = self.g.decrement_unit(u, v);
+                debug_assert_eq!(gone, gone_g);
+                if gone {
+                    self.removed.mark(u);
+                    self.removed.mark(v);
                 }
             }
         }
@@ -853,10 +740,9 @@ mod tests {
             let proto = random_graph(&mut seed_rng, n, 0.35);
             for threads in [1, 4] {
                 // Engine run: one engine across all rounds.
-                let mut g_engine = proto.clone();
                 let mut rec_engine = Hypergraph::new(n);
                 let mut rng_engine = StdRng::seed_from_u64(9 + case);
-                let mut engine = SearchEngine::new(threads);
+                let mut engine = SearchEngine::new(proto.clone(), threads);
                 // Reference run: a fresh one-shot round each time (the
                 // historical path).
                 let mut g_ref = proto.clone();
@@ -869,7 +755,6 @@ mod tests {
                     }
                     let stats_e = engine
                         .round(
-                            &mut g_engine,
                             &scorer,
                             theta,
                             40.0,
@@ -893,7 +778,7 @@ mod tests {
                     .expect("not cancelled");
                     assert_eq!(stats_e, stats_r, "round {round} threads {threads}");
                     assert_eq!(
-                        g_engine.sorted_edge_list(),
+                        engine.graph().sorted_edge_list(),
                         g_ref.sorted_edge_list(),
                         "residual diverged at round {round}"
                     );
@@ -927,19 +812,10 @@ mod tests {
         }
         let mut rec = Hypergraph::new(6);
         let mut rng = StdRng::seed_from_u64(1);
-        let mut engine = SearchEngine::new(1);
+        let mut engine = SearchEngine::new(g, 1);
         let cancel = CancelToken::new();
         let s1 = engine
-            .round(
-                &mut g,
-                &LocalScorer,
-                0.5,
-                0.0,
-                &mut rec,
-                false,
-                &cancel,
-                &mut rng,
-            )
+            .round(&LocalScorer, 0.5, 0.0, &mut rec, false, &cancel, &mut rng)
             .unwrap();
         assert_eq!(s1.committed_phase1, 1);
         assert_eq!(s1.cliques_rescored, 2, "first round scores everything");
@@ -947,22 +823,13 @@ mod tests {
         // Round 2: {0,1,2} was removed entirely; {3,4,5} is disjoint from
         // the dirty closure, so its clique *and* score are carried.
         let s2 = engine
-            .round(
-                &mut g,
-                &LocalScorer,
-                0.3,
-                0.0,
-                &mut rec,
-                false,
-                &cancel,
-                &mut rng,
-            )
+            .round(&LocalScorer, 0.3, 0.0, &mut rec, false, &cancel, &mut rng)
             .unwrap();
         assert_eq!(s2.cliques_enumerated, 1);
         assert_eq!(s2.cliques_reused, 1);
         assert_eq!(s2.cliques_rescored, 0);
         assert_eq!(s2.committed_phase1, 1);
-        assert!(g.is_edgeless());
+        assert!(engine.graph().is_edgeless());
     }
 
     #[test]
@@ -973,18 +840,16 @@ mod tests {
             let n = seed_rng.gen_range(10..25u32);
             let proto = random_graph(&mut seed_rng, n, 0.4);
             let run = |mut engine: SearchEngine| {
-                let mut g = proto.clone();
                 let mut rec = Hypergraph::new(n);
                 let mut rng = StdRng::seed_from_u64(77 + case);
                 let mut theta = 0.8;
                 let mut all = Vec::new();
                 for _ in 0..10 {
-                    if g.is_edgeless() {
+                    if engine.graph().is_edgeless() {
                         break;
                     }
                     let stats = engine
                         .round(
-                            &mut g,
                             &scorer,
                             theta,
                             30.0,
@@ -997,83 +862,15 @@ mod tests {
                     all.push(stats);
                     theta = (theta - 0.2f64).max(0.0);
                 }
-                (g.sorted_edge_list(), rec, all)
+                (engine.graph().sorted_edge_list(), rec, all)
             };
-            let (g_inc, rec_inc, stats_inc) = run(SearchEngine::new(2));
-            let (g_full, rec_full, stats_full) = run(SearchEngine::full_rebuild(2));
+            let (g_inc, rec_inc, stats_inc) = run(SearchEngine::new(proto.clone(), 2));
+            let (g_full, rec_full, stats_full) = run(SearchEngine::full_rebuild(proto.clone(), 2));
             assert_eq!(g_inc, g_full);
             assert_eq!(rec_inc, rec_full);
             assert_eq!(stats_inc, stats_full, "algorithmic stats must agree");
             // The rebuild engine reuses nothing, by definition.
             assert!(stats_full.iter().all(|s| s.cliques_reused == 0));
         }
-    }
-
-    #[test]
-    fn swapped_graph_is_detected_even_after_a_bulk_round() {
-        // A mass-commit round leaves the view snapshot lapsed (bulk
-        // mode); the tracked edge/weight totals must still unmask a
-        // different graph with the same node count, so the engine drops
-        // its carried cliques instead of merging them into the stranger.
-        let scorer = weight_scorer();
-        let mut rng = StdRng::seed_from_u64(4);
-        let mut engine = SearchEngine::new(1);
-        let cancel = CancelToken::new();
-        // Dense 6-clique: one round at θ=0 commits heavily → bulk mode.
-        let mut g1 = ProjectedGraph::new(6);
-        for u in 0..6u32 {
-            for v in u + 1..6 {
-                g1.add_edge_weight(NodeId(u), NodeId(v), 1);
-            }
-        }
-        let mut rec = Hypergraph::new(6);
-        engine
-            .round(
-                &mut g1, &scorer, 0.0, 0.0, &mut rec, false, &cancel, &mut rng,
-            )
-            .unwrap();
-        // Same node count, different topology/totals.
-        let mut g2 = ProjectedGraph::new(6);
-        g2.add_edge_weight(NodeId(0), NodeId(1), 2);
-        g2.add_edge_weight(NodeId(4), NodeId(5), 1);
-        let mut rec2 = Hypergraph::new(6);
-        let stats = engine
-            .round(
-                &mut g2, &scorer, 0.0, 0.0, &mut rec2, false, &cancel, &mut rng,
-            )
-            .unwrap();
-        // Fresh enumeration of g2 only — no clique of g1 leaks in.
-        assert_eq!(stats.cliques_enumerated, 2);
-        assert_eq!(stats.cliques_reused, 0);
-        assert_eq!(stats.committed_phase1, 2);
-    }
-
-    #[test]
-    fn engine_recovers_from_a_swapped_graph() {
-        let scorer = weight_scorer();
-        let mut rng = StdRng::seed_from_u64(3);
-        let mut engine = SearchEngine::new(1);
-        let cancel = CancelToken::new();
-        let mut rec = Hypergraph::new(4);
-        let mut g1 = ProjectedGraph::new(4);
-        for (u, v) in [(0, 1), (1, 2), (0, 2)] {
-            g1.add_edge_weight(NodeId(u), NodeId(v), 1);
-        }
-        engine
-            .round(
-                &mut g1, &scorer, 0.0, 0.0, &mut rec, false, &cancel, &mut rng,
-            )
-            .unwrap();
-        // A different graph (different totals): the engine re-freezes.
-        let mut g2 = ProjectedGraph::new(4);
-        g2.add_edge_weight(NodeId(2), NodeId(3), 5);
-        let mut rec2 = Hypergraph::new(4);
-        let stats = engine
-            .round(
-                &mut g2, &scorer, 0.0, 0.0, &mut rec2, false, &cancel, &mut rng,
-            )
-            .unwrap();
-        assert_eq!(stats.cliques_enumerated, 1);
-        assert_eq!(stats.cliques_reused, 0);
     }
 }

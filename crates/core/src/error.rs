@@ -47,13 +47,14 @@ impl MariohError {
     /// | variant | code | |
     /// |---|---|---|
     /// | [`MariohError::Config`] | 2 | invalid flags or hyperparameters |
-    /// | [`MariohError::Io`] (incl. substrate-wrapped I/O) | 3 | file or network I/O failure |
+    /// | [`MariohError::Io`] (incl. substrate-wrapped I/O and parse errors) | 3 | file or network I/O failure, or an unreadable input file |
     /// | [`MariohError::Cancelled`] | 130 | interrupted, after `128 + SIGINT` convention |
     /// | everything else | 1 | generic runtime failure |
     pub fn exit_code(&self) -> i32 {
         match self {
             MariohError::Config(_) => 2,
-            MariohError::Io(_) | MariohError::Hypergraph(HypergraphError::Io(_)) => 3,
+            MariohError::Io(_)
+            | MariohError::Hypergraph(HypergraphError::Io(_) | HypergraphError::Parse { .. }) => 3,
             MariohError::Cancelled => 130,
             MariohError::ModelFormat(_) | MariohError::Hypergraph(_) => 1,
         }
@@ -139,6 +140,12 @@ mod tests {
         // the CLI) still count as I/O.
         let wrapped = HypergraphError::from(io::Error::new(io::ErrorKind::NotFound, "gone"));
         assert_eq!(MariohError::from(wrapped).exit_code(), 3);
+        // So does an input file that cannot be parsed.
+        let parse = HypergraphError::Parse {
+            line: 1,
+            message: "bad token".into(),
+        };
+        assert_eq!(MariohError::from(parse).exit_code(), 3);
     }
 
     #[test]

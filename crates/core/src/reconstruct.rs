@@ -134,7 +134,7 @@ pub fn reconstruct_observed<R: Rng + ?Sized>(
     if cancel.is_cancelled() {
         return Err(MariohError::Cancelled);
     }
-    let mut work = if cfg.use_filtering {
+    let work = if cfg.use_filtering {
         let t0 = std::time::Instant::now();
         let (g2, stats) = {
             let _span = marioh_obs::Span::enter("filtering");
@@ -157,16 +157,15 @@ pub fn reconstruct_observed<R: Rng + ?Sized>(
     // invalidate only their dirty closure). Bit-identical to rebuilding
     // per round — `incremental: false` forces the rebuild path.
     let mut engine = if cfg.incremental {
-        SearchEngine::new(cfg.threads)
+        SearchEngine::new(work, cfg.threads)
     } else {
-        SearchEngine::full_rebuild(cfg.threads)
+        SearchEngine::full_rebuild(work, cfg.threads)
     };
     engine.set_pin_cores(cfg.pin_cores);
-    while !work.is_edgeless() && report.rounds.len() < cfg.max_iterations {
+    while !engine.graph().is_edgeless() && report.rounds.len() < cfg.max_iterations {
         let stats = {
             let _span = marioh_obs::Span::enter("round");
             engine.round(
-                &mut work,
                 scorer,
                 theta,
                 cfg.neg_ratio,

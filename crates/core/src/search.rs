@@ -110,9 +110,8 @@ pub fn bidirectional_search_threaded<R: Rng + ?Sized>(
     cancel: &CancelToken,
     rng: &mut R,
 ) -> Result<SearchStats, MariohError> {
-    let mut engine = SearchEngine::new(threads);
-    engine.round(
-        g,
+    let mut engine = SearchEngine::new(std::mem::take(g), threads);
+    let stats = engine.round(
         scorer,
         theta,
         neg_ratio,
@@ -120,7 +119,9 @@ pub fn bidirectional_search_threaded<R: Rng + ?Sized>(
         phase2,
         cancel,
         rng,
-    )
+    );
+    *g = engine.into_graph();
+    stats
 }
 
 #[cfg(test)]

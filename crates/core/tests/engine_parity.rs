@@ -180,13 +180,12 @@ fn persistent_engine_matches_fresh_rounds_with_trained_models() {
         let model = trained(&h, mode, 31 + case as u64);
         let proto = project(&h);
         for threads in [1usize, 2, 4] {
-            let mut g_inc = proto.clone();
             let mut g_ref = proto.clone();
             let mut rec_inc = Hypergraph::new(proto.num_nodes());
             let mut rec_ref = Hypergraph::new(proto.num_nodes());
             let mut rng_inc = StdRng::seed_from_u64(5);
             let mut rng_ref = StdRng::seed_from_u64(5);
-            let mut engine = SearchEngine::new(threads);
+            let mut engine = SearchEngine::new(proto.clone(), threads);
             let cancel = CancelToken::new();
             let mut theta = 0.9f64;
             for round in 0..15 {
@@ -195,7 +194,6 @@ fn persistent_engine_matches_fresh_rounds_with_trained_models() {
                 }
                 let s_inc = engine
                     .round(
-                        &mut g_inc,
                         &model,
                         theta,
                         20.0,
@@ -205,10 +203,9 @@ fn persistent_engine_matches_fresh_rounds_with_trained_models() {
                         &mut rng_inc,
                     )
                     .expect("not cancelled");
-                let mut fresh = SearchEngine::new(threads);
+                let mut fresh = SearchEngine::new(g_ref, threads);
                 let s_ref = fresh
                     .round(
-                        &mut g_ref,
                         &model,
                         theta,
                         20.0,
@@ -218,9 +215,10 @@ fn persistent_engine_matches_fresh_rounds_with_trained_models() {
                         &mut rng_ref,
                     )
                     .expect("not cancelled");
+                g_ref = fresh.into_graph();
                 assert_eq!(s_inc, s_ref, "stats: {mode:?} t={threads} round={round}");
                 assert_eq!(
-                    g_inc.sorted_edge_list(),
+                    engine.graph().sorted_edge_list(),
                     g_ref.sorted_edge_list(),
                     "residual: {mode:?} t={threads} round={round}"
                 );
@@ -266,23 +264,20 @@ fn engine_parity_on_dense_random_graphs() {
             }
         }
         for threads in [1usize, 4] {
-            let mut g_inc = proto.clone();
-            let mut g_ref = proto.clone();
             let mut rec_inc = Hypergraph::new(n);
             let mut rec_ref = Hypergraph::new(n);
             let mut rng_inc = StdRng::seed_from_u64(13);
             let mut rng_ref = StdRng::seed_from_u64(13);
-            let mut engine = SearchEngine::new(threads);
-            let mut rebuild = SearchEngine::full_rebuild(threads);
+            let mut engine = SearchEngine::new(proto.clone(), threads);
+            let mut rebuild = SearchEngine::full_rebuild(proto.clone(), threads);
             let cancel = CancelToken::new();
             let mut theta = 0.7f64;
             for round in 0..20 {
-                if g_ref.is_edgeless() {
+                if rebuild.graph().is_edgeless() {
                     break;
                 }
                 let s_inc = engine
                     .round(
-                        &mut g_inc,
                         &PairWeight,
                         theta,
                         50.0,
@@ -294,7 +289,6 @@ fn engine_parity_on_dense_random_graphs() {
                     .expect("not cancelled");
                 let s_ref = rebuild
                     .round(
-                        &mut g_ref,
                         &PairWeight,
                         theta,
                         50.0,
@@ -306,8 +300,8 @@ fn engine_parity_on_dense_random_graphs() {
                     .expect("not cancelled");
                 assert_eq!(s_inc, s_ref, "stats diverged at round {round}");
                 assert_eq!(
-                    g_inc.sorted_edge_list(),
-                    g_ref.sorted_edge_list(),
+                    engine.graph().sorted_edge_list(),
+                    rebuild.graph().sorted_edge_list(),
                     "residual diverged at round {round} (threads {threads})"
                 );
                 assert_eq!(rec_inc, rec_ref, "reconstruction diverged at {round}");

@@ -28,8 +28,9 @@
 //! crash), in which case re-running would only burn CPU to produce the
 //! same bytes.
 
+use crate::exec::{execute_encoded, EncodedOutcome};
 use crate::shard_worker;
-use marioh_core::CancelToken;
+use marioh_core::{CancelToken, NoopObserver, ProgressObserver};
 use marioh_wire::{
     server_handshake, Frame, FrameReader, FrameWriter, Message, WireError, CONTROL_CHANNEL,
 };
@@ -157,10 +158,6 @@ pub enum DispatchEvent {
         rounds: Option<u64>,
         /// Total committed cliques, when a commit happened.
         committed: Option<u64>,
-        /// Cliques reused from the previous round's cache.
-        reused: u64,
-        /// Cliques rescored this round.
-        rescored: u64,
         /// True when training finished (fires once per trained job).
         trained: bool,
         /// Worker-side error note (`on_error` passthrough).
@@ -250,8 +247,8 @@ struct Slot {
     /// exactly one outstanding token keeps RTT tracking allocation-free.
     last_ping_token: u64,
     last_ping_sent: Instant,
-    /// Latest metrics snapshot text pushed by the worker (wire v2);
-    /// `None` for v1 workers or before the first push.
+    /// Latest metrics snapshot text pushed by the worker; `None` before
+    /// the first push.
     last_snapshot: Option<String>,
     /// Crash-loop strikes: spawn-attempt failures and immediate deaths.
     /// A completed job from a live worker resets the count.
@@ -308,7 +305,7 @@ pub struct ShardStatus {
     /// Jobs dispatched to this shard still awaiting `Result`/`Failed`.
     pub inflight: usize,
     /// Latest worker metrics snapshot (`snapshot v1` text, see
-    /// `crates/obs/FORMATS.md`), when the worker speaks wire v2.
+    /// `crates/obs/FORMATS.md`), once the worker has pushed one.
     pub snapshot: Option<String>,
     /// Whether the shard's crash-loop breaker is open (its jobs execute
     /// in-process until a half-open probe restores a worker).
@@ -508,7 +505,7 @@ impl Dispatcher {
     }
 
     /// A point-in-time view of every shard slot: heartbeat age, in-flight
-    /// job count, and the latest worker metrics snapshot (wire v2).
+    /// job count, and the latest worker metrics snapshot.
     #[must_use]
     pub fn shard_statuses(&self) -> Vec<ShardStatus> {
         self.core
@@ -799,16 +796,12 @@ impl Core {
                 job,
                 rounds,
                 committed,
-                reused,
-                rescored,
                 trained,
                 note,
             } => events.push(DispatchEvent::Progress {
                 job,
                 rounds,
                 committed,
-                reused,
-                rescored,
                 trained,
                 note,
             }),
@@ -887,7 +880,7 @@ impl Core {
                 drop(shards);
                 self.handle_shard_down(shard, generation, events);
             }
-            // A v1 worker sends nothing else; last_seen is already bumped.
+            // Workers send nothing else; last_seen is already bumped.
             _ => {}
         }
     }
@@ -1163,9 +1156,9 @@ impl Core {
 }
 
 /// The body of one in-process (breaker-open) job execution: the same
-/// parse → decode → [`execute_job`] path a shard worker runs, reported
-/// as a [`DispatchEvent`] instead of wire frames. Per-round progress is
-/// not streamed on this path — breaker-open operation is explicitly
+/// [`execute_encoded`] path a shard worker runs, reported as a
+/// [`DispatchEvent`] instead of wire frames. Per-round progress is not
+/// streamed on this path — breaker-open operation is explicitly
 /// degraded — but results are byte-identical.
 fn run_local(
     job: u64,
@@ -1174,52 +1167,18 @@ fn run_local(
     model_bytes: Option<Vec<u8>>,
     cancel: CancelToken,
 ) -> DispatchEvent {
-    let spec = match marioh_store::Json::parse(spec_json)
-        .map_err(|e| e.to_string())
-        .and_then(|json| marioh_store::JobSpec::from_json(&json).map_err(|e| e.to_string()))
-    {
-        Ok(spec) => spec,
-        Err(message) => {
-            return DispatchEvent::Failed {
-                job,
-                message: format!("in-process execution could not parse spec: {message}"),
-                cancelled: false,
-            };
-        }
-    };
-    let reuse = match model_bytes {
-        Some(bytes) => match marioh_core::SavedModel::read_from(&bytes[..]) {
-            Ok(saved) => Some(saved),
-            Err(e) => {
-                return DispatchEvent::Failed {
-                    job,
-                    message: format!("in-process execution could not decode model: {e}"),
-                    cancelled: false,
-                };
-            }
-        },
-        None => None,
-    };
-    match crate::exec::execute_job(spec, reuse, Arc::new(marioh_core::NoopObserver), cancel) {
-        Ok((result, trained)) => {
-            let model = trained.map(|saved| {
-                let mut bytes = Vec::new();
-                saved
-                    .write_to(&mut bytes)
-                    .expect("writing a model to a Vec cannot fail");
-                bytes
-            });
-            DispatchEvent::Done {
-                job,
-                spec_hash,
-                payload: marioh_store::encode_result(&result),
-                model,
-            }
-        }
-        Err(e) => DispatchEvent::Failed {
+    let noop = |_: &marioh_store::JobSpec| -> Arc<dyn ProgressObserver> { Arc::new(NoopObserver) };
+    match execute_encoded(spec_json, model_bytes.as_deref(), noop, cancel) {
+        EncodedOutcome::Done { payload, model } => DispatchEvent::Done {
             job,
-            message: e.to_string(),
-            cancelled: matches!(e, marioh_core::MariohError::Cancelled),
+            spec_hash,
+            payload,
+            model,
+        },
+        EncodedOutcome::Failed { message, cancelled } => DispatchEvent::Failed {
+            job,
+            message,
+            cancelled,
         },
     }
 }

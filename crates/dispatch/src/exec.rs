@@ -6,6 +6,9 @@
 //! and model reuse with RNG-state restoration. Both serving modes call
 //! it, which is what makes `--shards N` results bit-identical to
 //! `--workers N` — there is only one execution path to agree with.
+//! [`execute_encoded`] wraps it for jobs that arrive as a `Dispatch`
+//! frame's bytes: the shard worker and the dispatcher's breaker-open
+//! reroute both run it.
 //!
 //! Dataset inputs are resolved through a small process-wide memo:
 //! generation is deterministic (each registry dataset has a fixed
@@ -20,7 +23,7 @@ use marioh_datasets::PaperDataset;
 use marioh_hypergraph::metrics::jaccard;
 use marioh_hypergraph::projection::project;
 use marioh_hypergraph::Hypergraph;
-use marioh_store::{JobInput, JobResult, JobSpec};
+use marioh_store::{encode_result, JobInput, JobResult, JobSpec, Json};
 use rand::{rngs::StdRng, SeedableRng};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -150,11 +153,84 @@ pub fn execute_job(
     ))
 }
 
+/// What a job run by [`execute_encoded`] reports, in the encodings the
+/// wire and the stores carry.
+#[derive(Debug)]
+pub(crate) enum EncodedOutcome {
+    /// The job finished.
+    Done {
+        /// The result artifact (`marioh-result v1` bytes).
+        payload: Vec<u8>,
+        /// The trained model (`SavedModel` bytes), when the job trained
+        /// its own.
+        model: Option<Vec<u8>>,
+    },
+    /// The job failed or was cancelled.
+    Failed {
+        /// Why, for the job record.
+        message: String,
+        /// Whether the failure is a requested cancellation.
+        cancelled: bool,
+    },
+}
+
+/// Runs one job from its encoded form: parses the faithful spec JSON,
+/// decodes the optional reused model, calls [`execute_job`] with the
+/// observer `observer` builds from the parsed spec, and encodes the
+/// outcome. A non-cancellation error is also reported to the observer's
+/// [`ProgressObserver::on_error`] before it is returned.
+pub(crate) fn execute_encoded(
+    spec_json: &str,
+    model_bytes: Option<&[u8]>,
+    observer: impl FnOnce(&JobSpec) -> Arc<dyn ProgressObserver>,
+    cancel: CancelToken,
+) -> EncodedOutcome {
+    let failed = |message: String| EncodedOutcome::Failed {
+        message,
+        cancelled: false,
+    };
+    // Parse and decode failures can only come from a dispatcher bug:
+    // specs were validated at submission and re-encoded faithfully.
+    let spec = match Json::parse(spec_json)
+        .map_err(|e| e.to_string())
+        .and_then(|json| JobSpec::from_json(&json).map_err(|e| e.to_string()))
+    {
+        Ok(spec) => spec,
+        Err(message) => return failed(format!("could not parse spec: {message}")),
+    };
+    let reuse = match model_bytes.map(SavedModel::read_from).transpose() {
+        Ok(reuse) => reuse,
+        Err(e) => return failed(format!("could not decode model: {e}")),
+    };
+    let observer = observer(&spec);
+    match execute_job(spec, reuse, Arc::clone(&observer), cancel) {
+        Ok((result, trained)) => EncodedOutcome::Done {
+            payload: encode_result(&result),
+            model: trained.map(|saved| {
+                let mut bytes = Vec::new();
+                saved
+                    .write_to(&mut bytes)
+                    .expect("writing a model to a Vec cannot fail");
+                bytes
+            }),
+        },
+        Err(e) => {
+            let cancelled = matches!(e, MariohError::Cancelled);
+            if !cancelled {
+                observer.on_error(&e.to_string());
+            }
+            EncodedOutcome::Failed {
+                message: e.to_string(),
+                cancelled,
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use marioh_core::NoopObserver;
-    use marioh_store::Json;
 
     fn spec(body: &str) -> JobSpec {
         JobSpec::from_json(&Json::parse(body).unwrap()).unwrap()

@@ -8,10 +8,10 @@
 //! makes SIGKILL recovery a pure dispatcher concern: re-sending the same
 //! `Dispatch` frame to a fresh worker reproduces the same bytes.
 
-use crate::exec::{cancellable_sleep, execute_job};
+use crate::exec::{cancellable_sleep, execute_encoded, EncodedOutcome};
 use marioh_core::search::SearchStats;
-use marioh_core::{CancelToken, MariohError, ProgressObserver, SavedModel};
-use marioh_store::{encode_result, JobSpec, Json};
+use marioh_core::{CancelToken, ProgressObserver};
+use marioh_store::JobSpec;
 use marioh_wire::{client_handshake, FrameReader, FrameWriter, Message, WireError};
 use std::collections::HashMap;
 use std::net::TcpStream;
@@ -42,14 +42,10 @@ pub fn serve(stream: TcpStream, shard: usize) -> Result<(), WireError> {
     stream.set_nodelay(true).ok();
     let mut reader = FrameReader::new(stream.try_clone()?);
     let writer: SharedWriter = Arc::new(Mutex::new(FrameWriter::new(stream)));
-    let version = {
+    {
         let mut sink = writer.lock().expect("writer lock poisoned");
-        client_handshake(&mut reader, &mut sink, vec![format!("shard={shard}")])?
-    };
-    // Wire v2 dispatchers understand pushed metrics snapshots; against a
-    // v1 dispatcher the unknown frame would be a protocol error, so the
-    // worker simply keeps them to itself.
-    let metrics_shard = (version >= 2).then_some(shard as u64);
+        client_handshake(&mut reader, &mut sink, vec![format!("shard={shard}")])?;
+    }
     let cancels: Arc<Mutex<HashMap<u64, CancelToken>>> = Arc::default();
     let mut jobs: Vec<JoinHandle<()>> = Vec::new();
     // On EOF or a read error the dispatcher went away — nothing left to
@@ -100,9 +96,7 @@ pub fn serve(stream: TcpStream, shard: usize) -> Result<(), WireError> {
                     run_job(&writer, channel, job, spec_hash, &spec_json, model, cancel);
                     // The job's final frame just went out; follow it with
                     // the freshest view of this worker's counters.
-                    if let Some(shard) = metrics_shard {
-                        push_snapshot(&writer, shard);
-                    }
+                    push_snapshot(&writer, shard as u64);
                     cancels
                         .lock()
                         .expect("cancel registry lock poisoned")
@@ -123,13 +117,11 @@ pub fn serve(stream: TcpStream, shard: usize) -> Result<(), WireError> {
                     .lock()
                     .expect("writer lock poisoned")
                     .send(marioh_wire::CONTROL_CHANNEL, &Message::Pong { token });
-                if let Some(shard) = metrics_shard {
-                    push_snapshot(&writer, shard);
-                }
+                push_snapshot(&writer, shard as u64);
             }
             Message::Goodbye { .. } => break,
             // The dispatcher only sends the frames above; anything else
-            // (possible under future protocol versions) is ignored.
+            // is ignored.
             _ => {}
         }
     }
@@ -149,9 +141,9 @@ pub fn serve(stream: TcpStream, shard: usize) -> Result<(), WireError> {
 }
 
 /// Pushes this process's metrics registry to the dispatcher as a
-/// `MetricsSnapshot` frame on the control channel (wire v2+). Best
-/// effort, like every other worker send: a lost snapshot only means the
-/// dispatcher keeps a slightly staler view.
+/// `MetricsSnapshot` frame on the control channel. Best effort, like
+/// every other worker send: a lost snapshot only means the dispatcher
+/// keeps a slightly staler view.
 fn push_snapshot(writer: &SharedWriter, shard: u64) {
     let stats = marioh_obs::global().snapshot().encode();
     let _ = writer.lock().expect("writer lock poisoned").send(
@@ -172,77 +164,33 @@ fn run_job(
     model_bytes: Option<Vec<u8>>,
     cancel: CancelToken,
 ) {
-    let send = |message: &Message| {
-        let _ = writer
-            .lock()
-            .expect("writer lock poisoned")
-            .send(channel, message);
+    let observer_cancel = cancel.clone();
+    let observer = |spec: &JobSpec| -> Arc<dyn ProgressObserver> {
+        Arc::new(ShardObserver {
+            writer: Arc::clone(writer),
+            channel,
+            job,
+            throttle_ms: spec.throttle_ms,
+            cancel: observer_cancel,
+        })
     };
-    let spec = match Json::parse(spec_json)
-        .map_err(|e| e.to_string())
-        .and_then(|json| JobSpec::from_json(&json).map_err(|e| e.to_string()))
-    {
-        Ok(spec) => spec,
-        Err(message) => {
-            // Can only happen on a dispatcher bug: specs were validated
-            // at submission and re-encoded faithfully.
-            send(&Message::Failed {
-                job,
-                message: format!("shard worker could not parse spec: {message}"),
-                cancelled: false,
-            });
-            return;
-        }
-    };
-    let reuse = match model_bytes {
-        Some(bytes) => match SavedModel::read_from(&bytes[..]) {
-            Ok(saved) => Some(saved),
-            Err(e) => {
-                send(&Message::Failed {
-                    job,
-                    message: format!("shard worker could not decode model: {e}"),
-                    cancelled: false,
-                });
-                return;
-            }
+    let message = match execute_encoded(spec_json, model_bytes.as_deref(), observer, cancel) {
+        EncodedOutcome::Done { payload, model } => Message::Result {
+            job,
+            spec_hash,
+            payload,
+            model,
         },
-        None => None,
+        EncodedOutcome::Failed { message, cancelled } => Message::Failed {
+            job,
+            message,
+            cancelled,
+        },
     };
-    let observer: Arc<dyn ProgressObserver> = Arc::new(ShardObserver {
-        writer: Arc::clone(writer),
-        channel,
-        job,
-        throttle_ms: spec.throttle_ms,
-        cancel: cancel.clone(),
-    });
-    match execute_job(spec, reuse, Arc::clone(&observer), cancel) {
-        Ok((result, trained)) => {
-            let model = trained.map(|saved| {
-                let mut bytes = Vec::new();
-                saved
-                    .write_to(&mut bytes)
-                    .expect("writing a model to a Vec cannot fail");
-                bytes
-            });
-            send(&Message::Result {
-                job,
-                spec_hash,
-                payload: encode_result(&result),
-                model,
-            });
-        }
-        Err(e) => {
-            let cancelled = matches!(e, MariohError::Cancelled);
-            if !cancelled {
-                observer.on_error(&e.to_string());
-            }
-            send(&Message::Failed {
-                job,
-                message: e.to_string(),
-                cancelled,
-            });
-        }
-    }
+    let _ = writer
+        .lock()
+        .expect("writer lock poisoned")
+        .send(channel, &message);
 }
 
 /// Streams pipeline progress back to the dispatcher as `Progress`
@@ -270,8 +218,6 @@ impl ShardObserver {
             job: self.job,
             rounds: None,
             committed: None,
-            reused: 0,
-            rescored: 0,
             trained: false,
             note: None,
         }
@@ -279,18 +225,10 @@ impl ShardObserver {
 }
 
 impl ProgressObserver for ShardObserver {
-    fn on_round(&self, round: usize, _theta: f64, stats: &SearchStats) {
+    fn on_round(&self, round: usize, _theta: f64, _stats: &SearchStats) {
         let mut message = self.progress();
-        if let Message::Progress {
-            rounds,
-            reused,
-            rescored,
-            ..
-        } = &mut message
-        {
+        if let Message::Progress { rounds, .. } = &mut message {
             *rounds = Some(round as u64);
-            *reused = stats.cliques_reused as u64;
-            *rescored = stats.cliques_rescored as u64;
         }
         self.send(message);
         if self.throttle_ms > 0 {

@@ -32,8 +32,14 @@ pub fn write_hypergraph<W: Write>(h: &Hypergraph, writer: W) -> Result<(), Hyper
 }
 
 /// Reads a hypergraph written by [`write_hypergraph`].
+///
+/// Node ids must leave room for the node count (`id < u32::MAX`), and the
+/// multiplicities must sum to at most `u32::MAX`. That total bounds every
+/// projected pair weight and every per-edge multiplicity, so neither can
+/// wrap downstream.
 pub fn read_hypergraph<R: Read>(reader: R) -> Result<Hypergraph, HypergraphError> {
     let mut h = Hypergraph::new(0);
+    let mut total = 0u64;
     let mut input = BufReader::new(reader);
     let mut line = String::new();
     let mut lineno = 0usize;
@@ -55,8 +61,21 @@ pub fn read_hypergraph<R: Read>(reader: R) -> Result<Hypergraph, HypergraphError
                 message: "multiplicity must be positive".into(),
             });
         }
+        total += u64::from(mult);
+        if total > u64::from(u32::MAX) {
+            return Err(HypergraphError::Parse {
+                line: lineno,
+                message: format!("total multiplicity exceeds {}", u32::MAX),
+            });
+        }
         let nodes: Vec<NodeId> = tokens
-            .map(|t| parse_token(Some(t), lineno, "node id").map(NodeId))
+            .map(|t| match parse_token::<u32>(Some(t), lineno, "node id")? {
+                u32::MAX => Err(HypergraphError::Parse {
+                    line: lineno,
+                    message: format!("node id {} is out of range", u32::MAX),
+                }),
+                id => Ok(NodeId(id)),
+            })
             .collect::<Result<_, _>>()?;
         let edge = Hyperedge::new(nodes).ok_or_else(|| HypergraphError::Parse {
             line: lineno,
@@ -215,6 +234,22 @@ mod tests {
             read_hypergraph("1 5".as_bytes()),
             Err(HypergraphError::Parse { line: 1, .. })
         ));
+        // A node id with no `id + 1` (the node count would wrap).
+        assert!(matches!(
+            read_hypergraph("1 0 4294967295".as_bytes()),
+            Err(HypergraphError::Parse { line: 1, .. })
+        ));
+        // Multiplicities summing past u32::MAX (pair weights would wrap).
+        assert!(matches!(
+            read_hypergraph("4294967295 0 1\n4294967295 0 1".as_bytes()),
+            Err(HypergraphError::Parse { line: 2, .. })
+        ));
+        assert_eq!(
+            read_hypergraph("4294967294 0 1\n1 0 4294967294".as_bytes())
+                .unwrap()
+                .total_edge_count(),
+            u64::from(u32::MAX)
+        );
         assert!(matches!(
             read_graph("1 1 4".as_bytes()),
             Err(HypergraphError::Parse { line: 1, .. })

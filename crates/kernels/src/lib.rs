@@ -7,9 +7,9 @@
 //!   benches compare against;
 //! * a **dispatched fast path** — the free functions at the crate root,
 //!   which select an implementation once per process from the CPU's
-//!   capabilities ([`Level::Avx2`] / [`Level::Sse42`] via
-//!   `is_x86_feature_detected!`) with a branchless + galloping portable
-//!   fallback ([`Level::Portable`]) everywhere else.
+//!   capabilities ([`Level::Avx2`] via `is_x86_feature_detected!`) with
+//!   a branchless + galloping portable fallback ([`Level::Portable`])
+//!   everywhere else.
 //!
 //! Selection happens on the first kernel call and is cached in an
 //! atomic; setting `MARIOH_NO_SIMD=1` in the environment forces
@@ -66,20 +66,17 @@ pub enum Level {
     /// Branchless two-pointer + galloping, no `unsafe`. Auto-selected
     /// when SIMD is unavailable or `MARIOH_NO_SIMD=1` is set.
     Portable,
-    /// SSE4.2 (128-bit) vector paths.
-    Sse42,
     /// AVX2 (256-bit) vector paths.
     Avx2,
 }
 
 impl Level {
-    /// A short stable name (`"avx2"`, `"sse4.2"`, `"portable"`,
-    /// `"scalar"`), for logs and bench output.
+    /// A short stable name (`"avx2"`, `"portable"`, `"scalar"`), for
+    /// logs and bench output.
     pub fn name(self) -> &'static str {
         match self {
             Level::Scalar => "scalar",
             Level::Portable => "portable",
-            Level::Sse42 => "sse4.2",
             Level::Avx2 => "avx2",
         }
     }
@@ -88,8 +85,7 @@ impl Level {
 const LEVEL_UNINIT: u8 = 0;
 const LEVEL_SCALAR: u8 = 1;
 const LEVEL_PORTABLE: u8 = 2;
-const LEVEL_SSE42: u8 = 3;
-const LEVEL_AVX2: u8 = 4;
+const LEVEL_AVX2: u8 = 3;
 
 static LEVEL: AtomicU8 = AtomicU8::new(LEVEL_UNINIT);
 
@@ -102,9 +98,6 @@ fn detect() -> Level {
         if std::arch::is_x86_feature_detected!("avx2") {
             return Level::Avx2;
         }
-        if std::arch::is_x86_feature_detected!("sse4.2") {
-            return Level::Sse42;
-        }
     }
     Level::Portable
 }
@@ -113,7 +106,6 @@ fn encode(level: Level) -> u8 {
     match level {
         Level::Scalar => LEVEL_SCALAR,
         Level::Portable => LEVEL_PORTABLE,
-        Level::Sse42 => LEVEL_SSE42,
         Level::Avx2 => LEVEL_AVX2,
     }
 }
@@ -123,7 +115,6 @@ pub fn level() -> Level {
     match LEVEL.load(Ordering::Relaxed) {
         LEVEL_SCALAR => Level::Scalar,
         LEVEL_PORTABLE => Level::Portable,
-        LEVEL_SSE42 => Level::Sse42,
         LEVEL_AVX2 => Level::Avx2,
         _ => {
             let detected = detect();
@@ -136,9 +127,9 @@ pub fn level() -> Level {
 }
 
 /// Re-points the dispatch at `new_level`, process-wide, overriding both
-/// detection and `MARIOH_NO_SIMD`. Selecting [`Level::Avx2`] /
-/// [`Level::Sse42`] on a CPU without those features is the caller's
-/// responsibility (the benches only ever *lower* the level).
+/// detection and `MARIOH_NO_SIMD`. Selecting [`Level::Avx2`] on a CPU
+/// without AVX2 is the caller's responsibility (the benches only ever
+/// *lower* the level).
 pub fn override_level(new_level: Level) {
     LEVEL.store(encode(new_level), Ordering::Relaxed);
 }
@@ -170,12 +161,10 @@ pub fn intersect_min_sum(a: &[u32], wa: &[u32], b: &[u32], wb: &[u32]) -> u64 {
         Level::Scalar => scalar::intersect_min_sum(a, wa, b, wb),
         Level::Portable => portable::intersect_min_sum(a, wa, b, wb),
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: `level()` only returns these after feature detection.
-        Level::Sse42 => unsafe { x86::intersect_min_sum_sse42(a, wa, b, wb) },
-        #[cfg(target_arch = "x86_64")]
+        // SAFETY: `level()` only returns this after feature detection.
         Level::Avx2 => unsafe { x86::intersect_min_sum_avx2(a, wa, b, wb) },
         #[cfg(not(target_arch = "x86_64"))]
-        Level::Sse42 | Level::Avx2 => portable::intersect_min_sum(a, wa, b, wb),
+        Level::Avx2 => portable::intersect_min_sum(a, wa, b, wb),
     }
 }
 
@@ -186,12 +175,10 @@ pub fn intersect_count(a: &[u32], b: &[u32]) -> usize {
         Level::Scalar => scalar::intersect_count(a, b),
         Level::Portable => portable::intersect_count(a, b),
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: `level()` only returns these after feature detection.
-        Level::Sse42 => unsafe { x86::intersect_count_sse42(a, b) },
-        #[cfg(target_arch = "x86_64")]
+        // SAFETY: `level()` only returns this after feature detection.
         Level::Avx2 => unsafe { x86::intersect_count_avx2(a, b) },
         #[cfg(not(target_arch = "x86_64"))]
-        Level::Sse42 | Level::Avx2 => portable::intersect_count(a, b),
+        Level::Avx2 => portable::intersect_count(a, b),
     }
 }
 
@@ -228,10 +215,9 @@ pub fn find_positions(needles: &[u32], haystack: &[u32], out: &mut Vec<u32>) {
 /// One dense-layer forward pass over **transposed** (column-major)
 /// weights: `out[o] = (Σ_k x[k]·wt[k·n_out + o]) + bias[o]`, with each
 /// lane's sum folded strictly in `k` order from `0.0` (the
-/// sequential-accumulation contract — see the crate docs). Vector
-/// levels run 4 (AVX2) or 2 (SSE4.2) output lanes at once with
-/// separate `mul` and `add` (no FMA), so every lane's rounding matches
-/// the scalar fold bit for bit.
+/// sequential-accumulation contract — see the crate docs). The AVX2
+/// level runs 4 output lanes at once with separate `mul` and `add` (no
+/// FMA), so every lane's rounding matches the scalar fold bit for bit.
 ///
 /// `out` is cleared first; `x.len() · n_out == wt.len()` and
 /// `bias.len() == n_out` are the caller's contract (debug-asserted).
@@ -241,12 +227,10 @@ pub fn dense_forward(wt: &[f64], bias: &[f64], x: &[f64], n_out: usize, out: &mu
     match level() {
         Level::Scalar | Level::Portable => scalar::dense_forward(wt, bias, x, n_out, out),
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: `level()` only returns these after feature detection.
-        Level::Sse42 => unsafe { x86::dense_forward_sse42(wt, bias, x, n_out, out) },
-        #[cfg(target_arch = "x86_64")]
+        // SAFETY: `level()` only returns this after feature detection.
         Level::Avx2 => unsafe { x86::dense_forward_avx2(wt, bias, x, n_out, out) },
         #[cfg(not(target_arch = "x86_64"))]
-        Level::Sse42 | Level::Avx2 => scalar::dense_forward(wt, bias, x, n_out, out),
+        Level::Avx2 => scalar::dense_forward(wt, bias, x, n_out, out),
     }
 }
 
@@ -273,7 +257,6 @@ mod tests {
     #[test]
     fn level_names_are_stable() {
         assert_eq!(Level::Avx2.name(), "avx2");
-        assert_eq!(Level::Sse42.name(), "sse4.2");
         assert_eq!(Level::Portable.name(), "portable");
         assert_eq!(Level::Scalar.name(), "scalar");
     }

@@ -1,4 +1,4 @@
-//! x86_64 vector paths (AVX2 / SSE4.2), selected at runtime by
+//! x86_64 vector paths (AVX2), selected at runtime by
 //! [`crate::level`] after `is_x86_feature_detected!` — every function
 //! here is `unsafe` precisely because the caller vouches for the
 //! feature bits.
@@ -11,10 +11,10 @@
 //! branchless two-pointer, extreme skew its galloping search. Sums stay
 //! `u64`, so all of this reorders freely under bit-identity.
 //!
-//! [`dense_forward_avx2`] / [`dense_forward_sse42`] run 4 / 2 output
-//! lanes per iteration with separate `mul` and `add` — **never FMA** —
-//! keeping every lane's rounding identical to the scalar fold (the
-//! crate-level sequential-accumulation contract).
+//! [`dense_forward_avx2`] runs 4 output lanes per iteration with
+//! separate `mul` and `add` — **never FMA** — keeping every lane's
+//! rounding identical to the scalar fold (the crate-level
+//! sequential-accumulation contract).
 
 use crate::portable;
 use crate::GALLOP_RATIO;
@@ -121,100 +121,6 @@ pub unsafe fn intersect_count_avx2(a: &[u32], b: &[u32]) -> usize {
     count
 }
 
-/// `Σ min(wa, wb)` over the intersection, SSE4.2 (4-lane) advance.
-///
-/// # Safety
-///
-/// The CPU must support SSE4.2.
-#[target_feature(enable = "sse4.2")]
-pub unsafe fn intersect_min_sum_sse42(a: &[u32], wa: &[u32], b: &[u32], wb: &[u32]) -> u64 {
-    if a.len() > b.len() {
-        return intersect_min_sum_sse42(b, wb, a, wa);
-    }
-    if a.is_empty() {
-        return 0;
-    }
-    let ratio = b.len() / a.len();
-    if !(SIMD_ADVANCE_RATIO..GALLOP_RATIO).contains(&ratio) || b.len() < 4 {
-        return portable::intersect_min_sum(a, wa, b, wb);
-    }
-    let bias = _mm_set1_epi32(i32::MIN);
-    let mut total = 0u64;
-    let mut j = 0usize;
-    for (i, &x) in a.iter().enumerate() {
-        let needle = _mm_xor_si128(_mm_set1_epi32(x as i32), bias);
-        while j + 4 <= b.len() {
-            let block = _mm_xor_si128(_mm_loadu_si128(b.as_ptr().add(j).cast()), bias);
-            let lt = _mm_cmpgt_epi32(needle, block);
-            let mask = _mm_movemask_ps(_mm_castsi128_ps(lt)) as u32;
-            if mask == 0xF {
-                j += 4;
-            } else {
-                j += mask.trailing_ones() as usize;
-                break;
-            }
-        }
-        while j < b.len() && b[j] < x {
-            j += 1;
-        }
-        if j == b.len() {
-            break;
-        }
-        if b[j] == x {
-            total += u64::from(wa[i].min(wb[j]));
-            j += 1;
-        }
-    }
-    total
-}
-
-/// `|a ∩ b|`, SSE4.2 (4-lane) advance.
-///
-/// # Safety
-///
-/// The CPU must support SSE4.2.
-#[target_feature(enable = "sse4.2")]
-pub unsafe fn intersect_count_sse42(a: &[u32], b: &[u32]) -> usize {
-    if a.len() > b.len() {
-        return intersect_count_sse42(b, a);
-    }
-    if a.is_empty() {
-        return 0;
-    }
-    let ratio = b.len() / a.len();
-    if !(SIMD_ADVANCE_RATIO..GALLOP_RATIO).contains(&ratio) || b.len() < 4 {
-        return portable::intersect_count(a, b);
-    }
-    let bias = _mm_set1_epi32(i32::MIN);
-    let mut count = 0usize;
-    let mut j = 0usize;
-    for &x in a {
-        let needle = _mm_xor_si128(_mm_set1_epi32(x as i32), bias);
-        while j + 4 <= b.len() {
-            let block = _mm_xor_si128(_mm_loadu_si128(b.as_ptr().add(j).cast()), bias);
-            let lt = _mm_cmpgt_epi32(needle, block);
-            let mask = _mm_movemask_ps(_mm_castsi128_ps(lt)) as u32;
-            if mask == 0xF {
-                j += 4;
-            } else {
-                j += mask.trailing_ones() as usize;
-                break;
-            }
-        }
-        while j < b.len() && b[j] < x {
-            j += 1;
-        }
-        if j == b.len() {
-            break;
-        }
-        if b[j] == x {
-            count += 1;
-            j += 1;
-        }
-    }
-    count
-}
-
 /// Dense forward over transposed weights, 4 output lanes per iteration.
 /// Per lane: `mul` then `add` in strict `k` order — the scalar fold's
 /// exact rounding (FMA would fuse the rounding and change the bits).
@@ -242,42 +148,6 @@ pub unsafe fn dense_forward_avx2(
         let r = _mm256_add_pd(acc, _mm256_loadu_pd(bias.as_ptr().add(o)));
         _mm256_storeu_pd(out.as_mut_ptr().add(o), r);
         o += 4;
-    }
-    for tail in o..n_out {
-        let mut acc = 0.0f64;
-        for (k, &xk) in x.iter().enumerate() {
-            acc += xk * wt[k * n_out + tail];
-        }
-        out[tail] = acc + bias[tail];
-    }
-}
-
-/// Dense forward over transposed weights, 2 output lanes per iteration
-/// (same contract as [`dense_forward_avx2`]).
-///
-/// # Safety
-///
-/// The CPU must support SSE4.2.
-#[target_feature(enable = "sse4.2")]
-pub unsafe fn dense_forward_sse42(
-    wt: &[f64],
-    bias: &[f64],
-    x: &[f64],
-    n_out: usize,
-    out: &mut Vec<f64>,
-) {
-    out.clear();
-    out.resize(n_out, 0.0);
-    let mut o = 0usize;
-    while o + 2 <= n_out {
-        let mut acc = _mm_setzero_pd();
-        for (k, &xk) in x.iter().enumerate() {
-            let w = _mm_loadu_pd(wt.as_ptr().add(k * n_out + o));
-            acc = _mm_add_pd(acc, _mm_mul_pd(_mm_set1_pd(xk), w));
-        }
-        let r = _mm_add_pd(acc, _mm_loadu_pd(bias.as_ptr().add(o)));
-        _mm_storeu_pd(out.as_mut_ptr().add(o), r);
-        o += 2;
     }
     for tail in o..n_out {
         let mut acc = 0.0f64;

@@ -26,9 +26,6 @@ fn forced_levels() -> Vec<kernels::Level> {
     let mut levels = vec![kernels::Level::Portable];
     #[cfg(target_arch = "x86_64")]
     {
-        if std::arch::is_x86_feature_detected!("sse4.2") {
-            levels.push(kernels::Level::Sse42);
-        }
         if std::arch::is_x86_feature_detected!("avx2") {
             levels.push(kernels::Level::Avx2);
         }

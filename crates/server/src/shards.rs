@@ -38,11 +38,6 @@ impl DispatchEvents for ShardEventSink {
                     job,
                     rounds,
                     committed,
-                    // Engine reuse totals arrive through each worker's
-                    // pushed metrics snapshot instead (wire v2); the
-                    // Progress fields stay for v1 compatibility.
-                    reused: _,
-                    rescored: _,
                     trained,
                     note,
                 } => {

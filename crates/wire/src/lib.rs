@@ -21,11 +21,12 @@
 //!   spec, its content hash, and an optional reused model),
 //!   `Progress`, `Result`, `Failed`, `Cancel`, `Ping`/`Pong`
 //!   (heartbeats), `Goodbye`.
-//! * **Handshake** ([`handshake`]): [`WIRE_FORMAT_VERSION`] negotiation.
-//!   Both ends advertise their version and settle on the highest
-//!   common one; a peer that cannot meet [`MIN_WIRE_VERSION`] is turned
-//!   away with a `Goodbye` carrying the reason, so version skew fails
-//!   cleanly in the handshake instead of as garbled frames later.
+//! * **Handshake** ([`handshake`]): [`WIRE_FORMAT_VERSION`] agreement.
+//!   Both ends advertise their version and must match exactly (shard
+//!   workers are the dispatcher's own binary); a peer on any other
+//!   version is turned away with a `Goodbye` carrying the reason, so
+//!   version skew fails cleanly in the handshake instead of as garbled
+//!   frames later.
 //!
 //! The frame layout and message grammar are specified in
 //! `crates/wire/FORMATS.md`; bumping [`WIRE_FORMAT_VERSION`] without a
@@ -45,16 +46,12 @@ pub use handshake::{client_handshake, negotiate, server_handshake};
 pub use message::Message;
 
 /// Version of the wire format: frame layout, message tags, and field
-/// encodings. Spoken in the `Hello`/`HelloAck` handshake; both ends
-/// settle on the highest version they share.
+/// encodings. Spoken in the `Hello`/`HelloAck` handshake; a peer on any
+/// other version is refused.
 ///
 /// Bumping this constant requires a migration note in
 /// `crates/wire/FORMATS.md` (CI and a unit test fail otherwise).
-pub const WIRE_FORMAT_VERSION: u32 = 2;
-
-/// Oldest wire version this build still speaks. A peer whose newest
-/// version is older than this is refused in the handshake.
-pub const MIN_WIRE_VERSION: u32 = 1;
+pub const WIRE_FORMAT_VERSION: u32 = 3;
 
 /// Why a wire operation failed. Decoding never panics and never reads
 /// past the declared payload; every malformed input lands in one of
@@ -89,9 +86,9 @@ pub enum WireError {
     /// the reader refuses to misparse whatever bytes follow. The only
     /// recovery is tearing the connection down.
     Desynced(&'static str),
-    /// Version negotiation found no common version.
+    /// The peer speaks a different wire version.
     VersionMismatch {
-        /// Our newest supported version.
+        /// Our wire version.
         ours: u32,
         /// The peer's advertised version.
         theirs: u32,
@@ -121,8 +118,7 @@ impl std::fmt::Display for WireError {
             ),
             WireError::VersionMismatch { ours, theirs } => write!(
                 f,
-                "no common wire version (we speak {} through {ours}, peer speaks {theirs})",
-                MIN_WIRE_VERSION
+                "wire version mismatch (we speak {ours}, peer speaks {theirs})"
             ),
             WireError::Rejected(reason) => write!(f, "peer refused the handshake: {reason}"),
         }

@@ -25,14 +25,14 @@ pub enum Message {
     /// its wire version and free-form capability strings (the shard
     /// index travels as a `"shard=K"` capability).
     Hello {
-        /// Newest wire version the sender speaks.
+        /// The wire version the sender speaks.
         version: u32,
         /// Capability strings, e.g. `"shard=3"`.
         capabilities: Vec<String>,
     },
-    /// Accepting reply to `Hello`, carrying the negotiated version.
+    /// Accepting reply to `Hello`, carrying the agreed version.
     HelloAck {
-        /// The version both ends will speak from now on.
+        /// The version both ends speak.
         version: u32,
     },
     /// Hand a job to a shard worker.
@@ -58,10 +58,6 @@ pub enum Message {
         rounds: Option<u64>,
         /// Hyperedges committed so far, if this update carries one.
         committed: Option<u64>,
-        /// Cliques reused from the previous round in this update.
-        reused: u64,
-        /// Cliques rescored in this update.
-        rescored: u64,
         /// Whether a model finished training in this update.
         trained: bool,
         /// Free-form note (error text surfaces here before `Failed`).
@@ -171,16 +167,12 @@ impl Message {
                 job,
                 rounds,
                 committed,
-                reused,
-                rescored,
                 trained,
                 note,
             } => {
                 put_u64(&mut out, *job);
                 put_opt_u64(&mut out, *rounds);
                 put_opt_u64(&mut out, *committed);
-                put_u64(&mut out, *reused);
-                put_u64(&mut out, *rescored);
                 out.push(*trained as u8);
                 put_opt_str(&mut out, note.as_deref());
             }
@@ -251,8 +243,6 @@ impl Message {
                 job: cur.u64("Progress.job")?,
                 rounds: cur.opt_u64("Progress.rounds")?,
                 committed: cur.opt_u64("Progress.committed")?,
-                reused: cur.u64("Progress.reused")?,
-                rescored: cur.u64("Progress.rescored")?,
                 trained: cur.bool("Progress.trained")?,
                 note: cur.opt_string("Progress.note")?,
             },
@@ -469,8 +459,6 @@ mod tests {
             job: 1,
             rounds: Some(3),
             committed: None,
-            reused: 5,
-            rescored: 2,
             trained: true,
             note: Some("note".into()),
         });

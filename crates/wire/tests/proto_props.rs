@@ -53,20 +53,15 @@ fn arb_message() -> BoxedStrategy<Message> {
             arb_u64(),
             option::of(arb_u64()),
             option::of(arb_u64()),
-            (arb_u64(), arb_u64()),
             ((0u8..2).prop_map(|b| b == 1), option::of(arb_string())),
         )
             .prop_map(
-                |(job, rounds, committed, (reused, rescored), (trained, note))| {
-                    Message::Progress {
-                        job,
-                        rounds,
-                        committed,
-                        reused,
-                        rescored,
-                        trained,
-                        note,
-                    }
+                |(job, rounds, committed, (trained, note))| Message::Progress {
+                    job,
+                    rounds,
+                    committed,
+                    trained,
+                    note,
                 }
             ),
         (arb_u64(), arb_hash(), arb_bytes(), option::of(arb_bytes())).prop_map(

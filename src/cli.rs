@@ -47,8 +47,8 @@
 //!
 //! Errors are [`MariohError`] end to end; `main` prints them as
 //! `error: {message}` and exits with [`MariohError::exit_code`]:
-//! 2 for configuration errors, 3 for I/O failures, 130 for cancellation,
-//! 1 otherwise. The historical [`CliError`] name remains as an alias.
+//! 2 for configuration errors, 3 for I/O failures and unparsable input
+//! files, 130 for cancellation, 1 otherwise. The historical [`CliError`] name remains as an alias.
 //!
 //! The logic lives here (unit-testable); `src/bin/marioh.rs` is a thin
 //! wrapper.
@@ -548,6 +548,7 @@ pub fn run(command: &str, flags: &Flags) -> Result<String, MariohError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use marioh_hypergraph::HypergraphError;
 
     fn flags(pairs: &[(&str, &str)], switches: &[&str]) -> Flags {
         let mut args: Vec<String> = Vec::new();
@@ -723,6 +724,32 @@ mod tests {
         )
         .unwrap_err();
         assert!(matches!(err, MariohError::ModelFormat(_)), "{err}");
+    }
+
+    #[test]
+    fn overflowing_edge_lists_fail_typed_with_exit_code_3() {
+        // A node id with no `id + 1`, and multiplicities whose sum (the
+        // bound on every projected pair weight) exceeds u32::MAX.
+        for (name, text) in [
+            ("h_node_overflow.txt", "1 0 4294967295\n"),
+            ("h_weight_overflow.txt", "4294967295 0 1\n4294967295 0 1\n"),
+        ] {
+            let h_path = tmp(name);
+            std::fs::write(&h_path, text).unwrap();
+            let err = run(
+                "project",
+                &flags(
+                    &[("hypergraph", &h_path), ("out", &tmp("g_overflow.txt"))],
+                    &[],
+                ),
+            )
+            .unwrap_err();
+            assert!(
+                matches!(err, MariohError::Hypergraph(HypergraphError::Parse { .. })),
+                "{name}: {err}"
+            );
+            assert_eq!(err.exit_code(), 3, "{name}");
+        }
     }
 
     #[test]

@@ -299,6 +299,17 @@ fn bad_hyperparameters_round_trip_the_builder_message_as_400() {
     let response = client::post(addr, "/jobs", r#"{"dataset": "Atlantis"}"#).expect("submit");
     assert_eq!(response.status, 400);
 
+    // Edge lists that would overflow a node count or a pair weight are
+    // typed 400s, not a panic or a silently wrapped weight.
+    for edges in ["1 0 4294967295", "4294967295 0 1\n4294967295 0 1"] {
+        let body = Json::Obj(vec![("edges".to_owned(), Json::str(edges))]);
+        let response = client::post(addr, "/jobs", &body.to_string()).expect("submit");
+        assert_eq!(response.status, 400, "{edges:?}: {}", response.body);
+        let error = response.json().expect("valid JSON");
+        let error = error.get("error").and_then(Json::as_str).expect("error");
+        assert!(error.contains("invalid edge list"), "{error}");
+    }
+
     // Nothing was accepted.
     let stats = client::get(addr, "/stats").expect("stats").json().unwrap();
     assert_eq!(stats.get("jobs_submitted").and_then(Json::as_u64), Some(0));
