@@ -10,7 +10,7 @@
 //!   `intersect_min_sum` per edge).
 //! * **predict_rows** — the scoring-phase MLP forward
 //!   ([`marioh_ml::Mlp::predict_rows_with`]) over a real feature batch,
-//!   backed by `dense_forward`.
+//!   backed by `matmul`.
 //! * **feature_extract** — [`marioh_core::features::extract_into`] in
 //!   multiplicity mode over the dataset's maximal cliques, backed by
 //!   `find_positions` (and the MHH cache reads).

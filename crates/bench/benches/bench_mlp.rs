@@ -12,6 +12,7 @@ fn bench_mlp(c: &mut Criterion) {
         .map(|_| (0..dim).map(|_| rng.gen_range(-1.0..1.0)).collect())
         .collect();
     let ys: Vec<f64> = xs.iter().map(|x| f64::from(x[0] + x[1] > 0.0)).collect();
+    let rows = xs.concat();
 
     c.bench_function("mlp_train_512x23", |b| {
         b.iter(|| {
@@ -21,7 +22,7 @@ fn bench_mlp(c: &mut Criterion) {
                 epochs: 10,
                 ..TrainConfig::default()
             };
-            std::hint::black_box(mlp.train(&xs, &ys, &cfg, &mut rng))
+            std::hint::black_box(mlp.train(&rows, &ys, &cfg, &mut rng))
         });
     });
 

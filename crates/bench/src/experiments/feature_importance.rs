@@ -26,7 +26,9 @@ pub fn run(env: &ExperimentEnv, dataset: PaperDataset) -> Table {
 
     let cfg = TrainingConfig::default();
     let set = build_training_set(&source, &cfg, &mut rng);
-    let n = set.features.len();
+    let n = set.labels.len();
+    let dim = FeatureMode::Multiplicity.dim();
+    let row = |i: usize| set.features[i * dim..(i + 1) * dim].to_vec();
     assert!(n >= 10, "training set too small for importance analysis");
 
     // 80/20 train/validation split.
@@ -37,16 +39,16 @@ pub fn run(env: &ExperimentEnv, dataset: PaperDataset) -> Table {
     }
     let n_train = (n * 4) / 5;
     let (train_idx, val_idx) = idx.split_at(n_train);
-    let train_x: Vec<Vec<f64>> = train_idx.iter().map(|&i| set.features[i].clone()).collect();
+    let train_x: Vec<Vec<f64>> = train_idx.iter().map(|&i| row(i)).collect();
     let train_y: Vec<f64> = train_idx.iter().map(|&i| set.labels[i]).collect();
-    let val_x: Vec<Vec<f64>> = val_idx.iter().map(|&i| set.features[i].clone()).collect();
+    let val_x: Vec<Vec<f64>> = val_idx.iter().map(|&i| row(i)).collect();
     let val_y: Vec<u8> = val_idx.iter().map(|&i| set.labels[i] as u8).collect();
 
     let scaler = StandardScaler::fit(&train_x);
     let train_x = scaler.transform_batch(&train_x);
     let val_x = scaler.transform_batch(&val_x);
     let mut mlp = Mlp::new(FeatureMode::Multiplicity.dim(), &cfg.hidden, &mut rng);
-    mlp.train(&train_x, &train_y, &cfg.optimizer, &mut rng);
+    mlp.train(&train_x.concat(), &train_y, &cfg.optimizer, &mut rng);
 
     let base_scores = mlp.predict_batch(&val_x);
     let base_auc = auc(&base_scores, &val_y);

@@ -108,8 +108,8 @@ impl CliqueScorer for TrainedModel {
             let rows = &mut rows[..dim * tile.len()];
             for (c, row) in tile.iter().zip(rows.chunks_exact_mut(dim)) {
                 extract_into(self.mode, round, c, &mut scratch, row);
-                self.scaler.transform_in_place(row);
             }
+            self.scaler.transform_rows_in_place(rows);
             self.mlp.predict_rows_with(rows, outs, &mut mlp_scratch);
         }
     }

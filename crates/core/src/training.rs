@@ -76,9 +76,10 @@ pub fn subsample_supervision<R: Rng + ?Sized>(
 /// experiment and for tests).
 #[derive(Debug, Clone)]
 pub struct TrainingSet {
-    /// Raw (unscaled) feature rows.
-    pub features: Vec<Vec<f64>>,
-    /// 0/1 labels aligned with `features`.
+    /// Raw (unscaled) feature rows, row-major: one row of
+    /// [`FeatureMode::dim`] values per label.
+    pub features: Vec<f64>,
+    /// 0/1 labels, one per feature row.
     pub labels: Vec<f64>,
 }
 
@@ -94,19 +95,9 @@ pub fn build_training_set<R: Rng + ?Sized>(
     // view and (lazily) the MHH cache are built once instead of
     // re-deriving per-pair state clique by clique.
     let round = RoundContext::new(&g);
-    let mut scratch = FeatureScratch::default();
-    let dim = cfg.feature_mode.dim();
-    let mut features = Vec::new();
-    let mut labels = Vec::new();
 
     // Positives: every unique hyperedge, in deterministic order.
     let positive_edges = source.sorted_edges();
-    for e in &positive_edges {
-        let mut row = vec![0.0; dim];
-        extract_into(cfg.feature_mode, &round, e.nodes(), &mut scratch, &mut row);
-        features.push(row);
-        labels.push(1.0);
-    }
     let n_pos = positive_edges.len();
     let target_neg = ((n_pos as f64) * cfg.negative_ratio).ceil() as usize;
 
@@ -141,12 +132,21 @@ pub fn build_training_set<R: Rng + ?Sized>(
         }
     }
 
-    for c in &negatives {
-        let mut row = vec![0.0; dim];
-        extract_into(cfg.feature_mode, &round, c, &mut scratch, &mut row);
-        features.push(row);
-        labels.push(0.0);
+    // One row per positive, then per negative, extracted straight into
+    // the flat matrix.
+    let dim = cfg.feature_mode.dim();
+    let n_rows = n_pos + negatives.len();
+    let mut features = vec![0.0; n_rows * dim];
+    let mut scratch = FeatureScratch::default();
+    let members = positive_edges
+        .iter()
+        .map(|e| e.nodes())
+        .chain(negatives.iter().map(Vec::as_slice));
+    for (clique, row) in members.zip(features.chunks_exact_mut(dim)) {
+        extract_into(cfg.feature_mode, &round, clique, &mut scratch, row);
     }
+    let mut labels = vec![1.0; n_pos];
+    labels.resize(n_rows, 0.0);
     TrainingSet { features, labels }
 }
 
@@ -199,16 +199,28 @@ pub fn train_classifier_cancellable<R: Rng + ?Sized>(
     };
     // Negative sampling enumerates maximal cliques — the other slow
     // stage besides the optimiser — so poll around it too.
-    let set = build_training_set(effective, cfg, rng);
+    let set = {
+        let _span = marioh_obs::Span::enter("training_set");
+        build_training_set(effective, cfg, rng)
+    };
     if cancel.is_cancelled() {
         return Err(MariohError::Cancelled);
     }
-    let scaler = StandardScaler::fit(&set.features);
-    let scaled = scaler.transform_batch(&set.features);
-    let mut mlp = Mlp::new(cfg.feature_mode.dim(), &cfg.hidden, rng);
-    mlp.train_with_stop(&scaled, &set.labels, &cfg.optimizer, rng, &mut || {
-        cancel.is_cancelled()
-    });
+    let (scaler, mlp) = {
+        let _span = marioh_obs::Span::enter("mlp_fit");
+        let TrainingSet {
+            features: mut rows,
+            labels,
+        } = set;
+        let dim = cfg.feature_mode.dim();
+        let scaler = StandardScaler::fit_rows(&rows, dim);
+        scaler.transform_rows_in_place(&mut rows);
+        let mut mlp = Mlp::new(dim, &cfg.hidden, rng);
+        mlp.train_with_stop(&rows, &labels, &cfg.optimizer, rng, &mut || {
+            cancel.is_cancelled()
+        });
+        (scaler, mlp)
+    };
     if cancel.is_cancelled() {
         return Err(MariohError::Cancelled);
     }
@@ -245,10 +257,10 @@ mod tests {
         assert_eq!(pos, h.unique_edge_count());
         assert!(neg > 0, "no negatives sampled");
         assert!(neg <= pos + 1);
-        assert!(set
-            .features
-            .iter()
-            .all(|f| f.len() == cfg.feature_mode.dim()));
+        assert_eq!(
+            set.features.len(),
+            set.labels.len() * cfg.feature_mode.dim()
+        );
     }
 
     #[test]

@@ -37,9 +37,17 @@ pub fn write_hypergraph<W: Write>(h: &Hypergraph, writer: W) -> Result<(), Hyper
 /// multiplicities must sum to at most `u32::MAX`. That total bounds every
 /// projected pair weight and every per-edge multiplicity, so neither can
 /// wrap downstream.
+///
+/// The node count (largest id + 1) must also be at most
+/// `max(65_536, 8 × node ids read)`. Later stages allocate per node, so
+/// one line such as `1 0 400000000` would otherwise ask for gigabytes; the
+/// error names the line holding the largest id. Real edge lists use far
+/// denser ids than one in eight.
 pub fn read_hypergraph<R: Read>(reader: R) -> Result<Hypergraph, HypergraphError> {
     let mut h = Hypergraph::new(0);
     let mut total = 0u64;
+    let mut node_tokens = 0u64;
+    let mut largest = (0u32, 0usize); // (id, line)
     let mut input = BufReader::new(reader);
     let mut line = String::new();
     let mut lineno = 0usize;
@@ -77,14 +85,38 @@ pub fn read_hypergraph<R: Read>(reader: R) -> Result<Hypergraph, HypergraphError
                 id => Ok(NodeId(id)),
             })
             .collect::<Result<_, _>>()?;
+        node_tokens += nodes.len() as u64;
+        if let Some(&NodeId(id)) = nodes.iter().max() {
+            if id > largest.0 || largest.1 == 0 {
+                largest = (id, lineno);
+            }
+        }
         let edge = Hyperedge::new(nodes).ok_or_else(|| HypergraphError::Parse {
             line: lineno,
             message: "hyperedge needs at least 2 distinct nodes".into(),
         })?;
         h.add_edge_with_multiplicity(edge, mult);
     }
+    let cap = MIN_NODE_CAP.max(NODE_ID_DENSITY.saturating_mul(node_tokens));
+    if h.num_nodes() as u64 > cap {
+        return Err(HypergraphError::Parse {
+            line: largest.1,
+            message: format!(
+                "node id {} implies {} nodes, more than {cap} for {node_tokens} node ids read",
+                largest.0,
+                h.num_nodes()
+            ),
+        });
+    }
     Ok(h)
 }
+
+/// Node counts up to this many are always accepted by [`read_hypergraph`].
+const MIN_NODE_CAP: u64 = 65_536;
+
+/// Above [`MIN_NODE_CAP`], [`read_hypergraph`] accepts at most this many
+/// nodes per node id read.
+const NODE_ID_DENSITY: u64 = 8;
 
 /// Writes `g` as `u v w` lines.
 pub fn write_graph<W: Write>(g: &ProjectedGraph, writer: W) -> Result<(), HypergraphError> {
@@ -244,12 +276,45 @@ mod tests {
             read_hypergraph("4294967295 0 1\n4294967295 0 1".as_bytes()),
             Err(HypergraphError::Parse { line: 2, .. })
         ));
+        // A sparse id implying far more nodes than the ids read (the
+        // projection would allocate per node); the line with the largest
+        // id is reported.
+        assert!(matches!(
+            read_hypergraph("1 0 1\n1 0 400000000\n1 2 3".as_bytes()),
+            Err(HypergraphError::Parse { line: 2, .. })
+        ));
+        // Multiplicities summing to exactly u32::MAX are accepted.
         assert_eq!(
-            read_hypergraph("4294967294 0 1\n1 0 4294967294".as_bytes())
+            read_hypergraph("4294967294 0 1\n1 0 2".as_bytes())
                 .unwrap()
                 .total_edge_count(),
             u64::from(u32::MAX)
         );
+        // The largest id that passes the wrap check is still far too
+        // sparse for the ids read.
+        assert!(matches!(
+            read_hypergraph("4294967294 0 1\n1 0 4294967294".as_bytes()),
+            Err(HypergraphError::Parse { line: 2, .. })
+        ));
+        // At the floor and at one node per eight ids read, ids are
+        // accepted; one more node is not.
+        assert_eq!(
+            read_hypergraph("1 0 65535".as_bytes()).unwrap().num_nodes(),
+            65_536
+        );
+        let dense = (0..8_200u32)
+            .map(|i| format!("1 {} {}\n", 2 * i, 2 * i + 1))
+            .collect::<String>();
+        let at_cap = format!("{dense}1 0 {}\n", 8 * 16_402 - 1);
+        assert_eq!(
+            read_hypergraph(at_cap.as_bytes()).unwrap().num_nodes(),
+            8 * 16_402
+        );
+        let past_cap = format!("{dense}1 0 {}\n", 8 * 16_402);
+        assert!(matches!(
+            read_hypergraph(past_cap.as_bytes()),
+            Err(HypergraphError::Parse { line: 8_201, .. })
+        ));
         assert!(matches!(
             read_graph("1 1 4".as_bytes()),
             Err(HypergraphError::Parse { line: 1, .. })

@@ -28,15 +28,17 @@
 //!   [`intersect_into`], [`find_positions`]) accumulate in `u64`/`usize`
 //!   — addition is associative, so galloping, block-skipping and
 //!   vectorization are free to reorder the traversal.
-//! * **Float kernels** ([`dense_forward`]) must keep each output lane's
-//!   accumulation **strictly sequential in input order**: lane `o`
-//!   computes `(((0 + x₀·w₀ₒ) + x₁·w₁ₒ) + …) + bₒ`, exactly the scalar
-//!   fold. Vectorization is only allowed *across* independent output
-//!   lanes, never across the inputs of one lane, and fused
-//!   multiply-add is forbidden (FMA rounds once where `mul`+`add`
-//!   rounds twice, which would change the bits). Any new float kernel
-//!   added to this crate must obey the same sequential-accumulation
-//!   contract.
+//! * **Float kernels** ([`matmul`]) must keep each output's
+//!   accumulation **strictly sequential in inner-index order**: output
+//!   `(r, c)` computes `(((0 + x_{r0}·m_{0c}) + x_{r1}·m_{1c}) + …)`,
+//!   exactly the scalar fold. Vectorization is only allowed *across*
+//!   independent outputs (columns, and rows by register blocking), never
+//!   across the terms of one sum, and fused multiply-add is forbidden
+//!   (FMA rounds once where `mul`+`add` rounds twice, which would change
+//!   the bits). The MLP's forward pass, weight gradient and
+//!   backpropagation are all this one product, which is what makes its
+//!   batched trainer bit-identical to a per-sample loop. Any new float
+//!   kernel added to this crate must obey the same contract.
 //!
 //! The crate also hosts the process's CPU-affinity primitive
 //! ([`pin_to_core`]): a raw `sched_setaffinity` syscall on
@@ -209,28 +211,34 @@ pub fn find_positions(needles: &[u32], haystack: &[u32], out: &mut Vec<u32>) {
 }
 
 // ---------------------------------------------------------------------
-// Dense-layer forward kernel.
+// Dense matrix product.
 // ---------------------------------------------------------------------
 
-/// One dense-layer forward pass over **transposed** (column-major)
-/// weights: `out[o] = (Σ_k x[k]·wt[k·n_out + o]) + bias[o]`, with each
-/// lane's sum folded strictly in `k` order from `0.0` (the
-/// sequential-accumulation contract — see the crate docs). The AVX2
-/// level runs 4 output lanes at once with separate `mul` and `add` (no
-/// FMA), so every lane's rounding matches the scalar fold bit for bit.
+/// Row-major matrix product `out = x · m`, with `x` of shape
+/// `n_rows × n_inner`, `m` of shape `n_inner × n_cols` and `out` of
+/// shape `n_rows × n_cols` (overwritten):
+/// `out[r][c] = Σ_i x[r][i]·m[i][c]`, each sum folded strictly in `i`
+/// order from `0.0` (the sequential-accumulation contract — see the
+/// crate docs). The AVX2 level vectorizes across columns with separate
+/// `mul` and `add` (no FMA) and blocks rows and columns in registers, so
+/// every output matches the scalar fold bit for bit. [`Level::Portable`]
+/// runs the scalar reference.
 ///
-/// `out` is cleared first; `x.len() · n_out == wt.len()` and
-/// `bias.len() == n_out` are the caller's contract (debug-asserted).
-pub fn dense_forward(wt: &[f64], bias: &[f64], x: &[f64], n_out: usize, out: &mut Vec<f64>) {
-    debug_assert_eq!(wt.len(), x.len() * n_out);
-    debug_assert_eq!(bias.len(), n_out);
+/// # Panics
+///
+/// Panics unless the three slice lengths match the shape.
+pub fn matmul(x: &[f64], m: &[f64], out: &mut [f64], n_rows: usize, n_inner: usize, n_cols: usize) {
+    assert_eq!(x.len(), n_rows * n_inner, "matmul: x shape mismatch");
+    assert_eq!(m.len(), n_inner * n_cols, "matmul: m shape mismatch");
+    assert_eq!(out.len(), n_rows * n_cols, "matmul: out shape mismatch");
     match level() {
-        Level::Scalar | Level::Portable => scalar::dense_forward(wt, bias, x, n_out, out),
+        Level::Scalar | Level::Portable => scalar::matmul(x, m, out, n_rows, n_inner, n_cols),
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: `level()` only returns this after feature detection.
-        Level::Avx2 => unsafe { x86::dense_forward_avx2(wt, bias, x, n_out, out) },
+        // SAFETY: `level()` only returns this after feature detection,
+        // and the lengths were checked above.
+        Level::Avx2 => unsafe { x86::matmul_avx2(x, m, out, n_rows, n_inner, n_cols) },
         #[cfg(not(target_arch = "x86_64"))]
-        Level::Avx2 => scalar::dense_forward(wt, bias, x, n_out, out),
+        Level::Avx2 => scalar::matmul(x, m, out, n_rows, n_inner, n_cols),
     }
 }
 

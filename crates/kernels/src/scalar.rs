@@ -72,18 +72,20 @@ pub fn find_positions(needles: &[u32], haystack: &[u32], out: &mut Vec<u32>) {
     }
 }
 
-/// Reference dense forward over transposed weights: per output lane,
-/// the fold `(((0 + x₀·w₀ₒ) + x₁·w₁ₒ) + …) + bₒ` — operation-for-
-/// operation the `row.iter().zip(x).map(..).sum() + b` loop that
-/// `Layer::forward` ran over row-major weights.
-pub fn dense_forward(wt: &[f64], bias: &[f64], x: &[f64], n_out: usize, out: &mut Vec<f64>) {
-    out.clear();
-    out.reserve(n_out);
-    for (o, &b) in bias.iter().enumerate().take(n_out) {
-        let mut acc = 0.0f64;
-        for (k, &xk) in x.iter().enumerate() {
-            acc += xk * wt[k * n_out + o];
+/// Reference row-major matrix product `out = x · m` (`x` is
+/// `n_rows × n_inner`, `m` is `n_inner × n_cols`): every output is the
+/// fold `(((0 + x_{r0}·m_{0c}) + x_{r1}·m_{1c}) + …)` in `i` order, one
+/// separate multiply and add per term. The `i`-outer loop order only
+/// interleaves independent outputs; no output's sum is reordered.
+pub fn matmul(x: &[f64], m: &[f64], out: &mut [f64], n_rows: usize, n_inner: usize, n_cols: usize) {
+    for r in 0..n_rows {
+        let row = &mut out[r * n_cols..(r + 1) * n_cols];
+        row.fill(0.0);
+        for i in 0..n_inner {
+            let xi = x[r * n_inner + i];
+            for (o, &mv) in row.iter_mut().zip(&m[i * n_cols..(i + 1) * n_cols]) {
+                *o += xi * mv;
+            }
         }
-        out.push(acc + b);
     }
 }

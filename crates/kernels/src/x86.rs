@@ -11,10 +11,12 @@
 //! branchless two-pointer, extreme skew its galloping search. Sums stay
 //! `u64`, so all of this reorders freely under bit-identity.
 //!
-//! [`dense_forward_avx2`] runs 4 output lanes per iteration with
-//! separate `mul` and `add` — **never FMA** — keeping every lane's
+//! [`matmul_avx2`] vectorizes across output columns only, with
+//! separate `mul` and `add` — **never FMA** — keeping every output's
 //! rounding identical to the scalar fold (the crate-level
-//! sequential-accumulation contract).
+//! sequential-accumulation contract). Register blocking runs several
+//! rows and column vectors at once, so independent sums overlap their
+//! add latency instead of waiting on one serial chain.
 
 use crate::portable;
 use crate::GALLOP_RATIO;
@@ -121,39 +123,110 @@ pub unsafe fn intersect_count_avx2(a: &[u32], b: &[u32]) -> usize {
     count
 }
 
-/// Dense forward over transposed weights, 4 output lanes per iteration.
-/// Per lane: `mul` then `add` in strict `k` order — the scalar fold's
-/// exact rounding (FMA would fuse the rounding and change the bits).
+/// Row-major `out = x · m`, each output summed in strict `i` order.
+/// Rows go in panels of 4 (12 columns, 12 accumulators per step), the
+/// remaining rows one at a time (16 columns, 4 accumulators); the last
+/// `n_cols % 4` columns run as one vector with the unused lanes masked
+/// off.
 ///
 /// # Safety
 ///
-/// The CPU must support AVX2.
+/// The CPU must support AVX2, and `x`, `m`, `out` must hold
+/// `n_rows·n_inner`, `n_inner·n_cols` and `n_rows·n_cols` values.
 #[target_feature(enable = "avx2")]
-pub unsafe fn dense_forward_avx2(
-    wt: &[f64],
-    bias: &[f64],
+pub unsafe fn matmul_avx2(
     x: &[f64],
-    n_out: usize,
-    out: &mut Vec<f64>,
+    m: &[f64],
+    out: &mut [f64],
+    n_rows: usize,
+    n_inner: usize,
+    n_cols: usize,
 ) {
-    out.clear();
-    out.resize(n_out, 0.0);
-    let mut o = 0usize;
-    while o + 4 <= n_out {
-        let mut acc = _mm256_setzero_pd();
-        for (k, &xk) in x.iter().enumerate() {
-            let w = _mm256_loadu_pd(wt.as_ptr().add(k * n_out + o));
-            acc = _mm256_add_pd(acc, _mm256_mul_pd(_mm256_set1_pd(xk), w));
-        }
-        let r = _mm256_add_pd(acc, _mm256_loadu_pd(bias.as_ptr().add(o)));
-        _mm256_storeu_pd(out.as_mut_ptr().add(o), r);
-        o += 4;
+    let shape = Shape {
+        x: x.as_ptr(),
+        m: m.as_ptr(),
+        out: out.as_mut_ptr(),
+        n_inner,
+        n_cols,
+    };
+    let mut r = 0usize;
+    while r + 4 <= n_rows {
+        panel::<4, 3>(&shape, r);
+        r += 4;
     }
-    for tail in o..n_out {
-        let mut acc = 0.0f64;
-        for (k, &xk) in x.iter().enumerate() {
-            acc += xk * wt[k * n_out + tail];
+    while r < n_rows {
+        panel::<1, 4>(&shape, r);
+        r += 1;
+    }
+}
+
+/// Raw operands of one [`matmul_avx2`] call.
+struct Shape {
+    x: *const f64,
+    m: *const f64,
+    out: *mut f64,
+    n_inner: usize,
+    n_cols: usize,
+}
+
+/// Rows `r0..r0 + R`: tiles of `V` vectors, then single vectors, then
+/// one masked vector for the last 1–3 columns.
+#[target_feature(enable = "avx2")]
+#[inline]
+unsafe fn panel<const R: usize, const V: usize>(s: &Shape, r0: usize) {
+    let all = _mm256_set1_epi64x(-1);
+    let mut c = 0usize;
+    while c + 4 * V <= s.n_cols {
+        tile::<R, V>(s, r0, c, all);
+        c += 4 * V;
+    }
+    while c + 4 <= s.n_cols {
+        tile::<R, 1>(s, r0, c, all);
+        c += 4;
+    }
+    let lanes = (s.n_cols - c) as i64;
+    if lanes > 0 {
+        // Lane j is live while j < lanes: the sign bit selects it.
+        let live = _mm256_cmpgt_epi64(_mm256_set1_epi64x(lanes), _mm256_setr_epi64x(0, 1, 2, 3));
+        tile::<R, 1>(s, r0, c, live);
+    }
+}
+
+/// One `R × 4V` output tile held in registers across the whole `i`
+/// loop: per step, `V` loads of `m`, one broadcast of `x` per row, and
+/// a separate `mul` then `add` per accumulator. `live` selects the
+/// columns that exist; it is all-ones except on a column tail, where
+/// masked-off lanes are neither read nor written.
+#[target_feature(enable = "avx2")]
+#[inline]
+unsafe fn tile<const R: usize, const V: usize>(s: &Shape, r0: usize, c0: usize, live: __m256i) {
+    let full = V > 1 || _mm256_movemask_pd(_mm256_castsi256_pd(live)) == 0xF;
+    let mut acc = [[_mm256_setzero_pd(); V]; R];
+    for i in 0..s.n_inner {
+        let row = s.m.add(i * s.n_cols + c0);
+        let mut mv = [_mm256_setzero_pd(); V];
+        for (v, slot) in mv.iter_mut().enumerate() {
+            *slot = if full {
+                _mm256_loadu_pd(row.add(4 * v))
+            } else {
+                _mm256_maskload_pd(row, live)
+            };
         }
-        out[tail] = acc + bias[tail];
+        for (r, lanes) in acc.iter_mut().enumerate() {
+            let xb = _mm256_set1_pd(*s.x.add((r0 + r) * s.n_inner + i));
+            for (a, &w) in lanes.iter_mut().zip(&mv) {
+                *a = _mm256_add_pd(*a, _mm256_mul_pd(xb, w));
+            }
+        }
+    }
+    for (r, lanes) in acc.iter().enumerate() {
+        let dst = s.out.add((r0 + r) * s.n_cols + c0);
+        for (v, &a) in lanes.iter().enumerate() {
+            if full {
+                _mm256_storeu_pd(dst.add(4 * v), a);
+            } else {
+                _mm256_maskstore_pd(dst, live, a);
+            }
+        }
     }
 }

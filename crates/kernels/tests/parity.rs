@@ -1,8 +1,8 @@
 //! Property tests: every dispatched kernel is **bit-identical** to its
 //! scalar reference — for random CSR-shaped rows, skewed lengths,
 //! hole-compacted (short, arbitrary-prefix) rows, values at the top of
-//! the u32 domain (the unsigned-compare bias trick), and MLP layer
-//! widths 1–64.
+//! the u32 domain (the unsigned-compare bias trick), and matrix
+//! products of every panel, tile and tail shape up to 9 × 70 · 70 × 70.
 //!
 //! Each case checks the ambient dispatch level (CI runs this suite
 //! twice: once with detection on, once under `MARIOH_NO_SIMD=1`) *and*
@@ -142,34 +142,42 @@ proptest! {
     }
 
     #[test]
-    fn dense_forward_matches_scalar_across_widths(
-        dims in (1usize..=64, 1usize..=64),
+    fn matmul_matches_scalar_across_shapes(
+        dims in (0usize..=9, 0usize..=70, 0usize..=70),
         seed in 0u64..1_000_000,
     ) {
-        // Sized buffers follow the widths, so fill them from a seeded
-        // RNG instead of a dependent strategy.
+        // Rows cover the 4-row panels and the single-row remainder;
+        // columns cover the 8- and 16-wide tiles, single vectors and
+        // every scalar tail length. Sized buffers follow the shape, so
+        // fill them from a seeded RNG instead of a dependent strategy.
         use rand::{rngs::StdRng, Rng, SeedableRng};
-        let (n_in, n_out) = dims;
+        let (n_rows, n_inner, n_cols) = dims;
         let mut rng = StdRng::seed_from_u64(seed);
         let mut draw = |n: usize| -> Vec<f64> {
-            (0..n).map(|_| rng.gen_range(-3.0..3.0)).collect()
+            (0..n)
+                .map(|_| match rng.gen_range(0..10) {
+                    // Exact zeros and negative zeros, as ReLU masks and
+                    // zero deltas produce them.
+                    0 => 0.0,
+                    1 => -0.0,
+                    _ => rng.gen_range(-3.0..3.0),
+                })
+                .collect()
         };
-        let wt = draw(n_in * n_out);
-        let bias = draw(n_out);
-        let x = draw(n_in);
-        let mut want = Vec::new();
-        kernels::scalar::dense_forward(&wt, &bias, &x, n_out, &mut want);
+        let x = draw(n_rows * n_inner);
+        let m = draw(n_inner * n_cols);
+        let mut want = vec![f64::NAN; n_rows * n_cols];
+        kernels::scalar::matmul(&x, &m, &mut want, n_rows, n_inner, n_cols);
         at_every_level(|| {
-            let mut got = Vec::new();
-            kernels::dense_forward(&wt, &bias, &x, n_out, &mut got);
-            let identical = got.len() == want.len()
-                && got
-                    .iter()
-                    .zip(&want)
-                    .all(|(g, w)| g.to_bits() == w.to_bits());
+            let mut got = vec![f64::NAN; n_rows * n_cols];
+            kernels::matmul(&x, &m, &mut got, n_rows, n_inner, n_cols);
+            let identical = got
+                .iter()
+                .zip(&want)
+                .all(|(g, w)| g.to_bits() == w.to_bits());
             assert!(
                 identical,
-                "dense_forward not bit-identical at level {} (n_in {n_in}, n_out {n_out})",
+                "matmul not bit-identical at level {} ({n_rows}×{n_inner}·{n_inner}×{n_cols})",
                 kernels::active()
             );
         });
@@ -190,8 +198,10 @@ fn empty_and_degenerate_inputs() {
         assert!(out.is_empty());
         kernels::find_positions(&empty, &row, &mut out);
         assert!(out.is_empty());
-        let mut dense = vec![42.0];
-        kernels::dense_forward(&[], &[], &[], 0, &mut dense);
-        assert!(dense.is_empty(), "n_out = 0 clears the output");
+        // An empty inner dimension still overwrites every output with
+        // the empty sum.
+        let mut prod = vec![42.0; 6];
+        kernels::matmul(&[], &[], &mut prod, 2, 0, 3);
+        assert!(prod.iter().all(|v| v.to_bits() == 0.0f64.to_bits()));
     });
 }

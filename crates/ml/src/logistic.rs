@@ -29,7 +29,7 @@ impl LogisticRegression {
         cfg: &TrainConfig,
         rng: &mut R,
     ) -> TrainStats {
-        self.inner.train(xs, ys, cfg, rng)
+        self.inner.train(&xs.concat(), ys, cfg, rng)
     }
 
     /// Predicted probability of the positive class.

@@ -43,12 +43,15 @@ impl Adam {
         assert!(t > 0, "Adam step counter is 1-based");
         let bc1 = 1.0 - Self::BETA1.powi(t as i32);
         let bc2 = 1.0 - Self::BETA2.powi(t as i32);
-        for i in 0..params.len() {
-            self.m[i] = Self::BETA1 * self.m[i] + (1.0 - Self::BETA1) * grads[i];
-            self.v[i] = Self::BETA2 * self.v[i] + (1.0 - Self::BETA2) * grads[i] * grads[i];
-            let mhat = self.m[i] / bc1;
-            let vhat = self.v[i] / bc2;
-            params[i] -= lr * mhat / (vhat.sqrt() + Self::EPS);
+        // Zipped slices carry no bounds checks, so the compiler can
+        // vectorize the loop; every element's arithmetic is unchanged.
+        let state = self.m.iter_mut().zip(self.v.iter_mut());
+        for ((p, &g), (m, v)) in params.iter_mut().zip(grads).zip(state) {
+            *m = Self::BETA1 * *m + (1.0 - Self::BETA1) * g;
+            *v = Self::BETA2 * *v + (1.0 - Self::BETA2) * g * g;
+            let mhat = *m / bc1;
+            let vhat = *v / bc2;
+            *p -= lr * mhat / (vhat.sqrt() + Self::EPS);
         }
     }
 }

@@ -19,10 +19,30 @@ impl StandardScaler {
     pub fn fit(xs: &[Vec<f64>]) -> Self {
         assert!(!xs.is_empty(), "cannot fit a scaler to no data");
         let d = xs[0].len();
-        let n = xs.len() as f64;
+        assert!(xs.iter().all(|x| x.len() == d), "ragged feature rows");
+        Self::fit_iter(xs.iter().map(Vec::as_slice), d)
+    }
+
+    /// [`StandardScaler::fit`] over contiguous row-major rows of `dim`
+    /// values, with the same arithmetic.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an empty sample or a ragged matrix.
+    pub fn fit_rows(rows: &[f64], dim: usize) -> Self {
+        assert!(!rows.is_empty(), "cannot fit a scaler to no data");
+        assert!(
+            dim > 0 && rows.len().is_multiple_of(dim),
+            "ragged feature rows"
+        );
+        Self::fit_iter(rows.chunks_exact(dim), dim)
+    }
+
+    /// Means, then variances, each summed over the rows in order.
+    fn fit_iter<'a>(xs: impl Iterator<Item = &'a [f64]> + Clone, d: usize) -> Self {
+        let n = xs.clone().count() as f64;
         let mut means = vec![0.0; d];
-        for x in xs {
-            assert_eq!(x.len(), d, "ragged feature rows");
+        for x in xs.clone() {
             for (m, v) in means.iter_mut().zip(x) {
                 *m += v;
             }
@@ -64,6 +84,24 @@ impl StandardScaler {
         }
     }
 
+    /// Transforms contiguous row-major rows of [`StandardScaler::dim`]
+    /// values in place — the flat-matrix form of
+    /// [`StandardScaler::transform_in_place`], with the same arithmetic.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rows.len()` is not a multiple of the dimension.
+    pub fn transform_rows_in_place(&self, rows: &mut [f64]) {
+        let d = self.means.len();
+        assert!(
+            d > 0 && rows.len().is_multiple_of(d),
+            "feature dimension mismatch"
+        );
+        for row in rows.chunks_exact_mut(d) {
+            self.transform_in_place(row);
+        }
+    }
+
     /// Returns a transformed copy of one feature vector.
     pub fn transform(&self, x: &[f64]) -> Vec<f64> {
         let mut out = x.to_vec();
@@ -92,6 +130,31 @@ mod tests {
         assert!((var0 - 1.0).abs() < 1e-12);
         // Constant feature stays finite (and zero-centred).
         assert!(t.iter().all(|r| r[1] == 0.0));
+    }
+
+    #[test]
+    fn flat_rows_fit_and_transform_like_single_rows() {
+        let xs = vec![
+            vec![1.0, -4.0, 0.5],
+            vec![3.0, 2.0, 0.5],
+            vec![-2.0, 7.0, 0.5],
+        ];
+        let scaler = StandardScaler::fit(&xs);
+        let mut flat = xs.concat();
+        let flat_fit = StandardScaler::fit_rows(&flat, 3);
+        assert_eq!(
+            (&flat_fit.means, &flat_fit.stds),
+            (&scaler.means, &scaler.stds)
+        );
+        scaler.transform_rows_in_place(&mut flat);
+        assert_eq!(flat, scaler.transform_batch(&xs).concat());
+    }
+
+    #[test]
+    #[should_panic(expected = "feature dimension mismatch")]
+    fn flat_rows_reject_a_ragged_matrix() {
+        let scaler = StandardScaler::fit(&[vec![1.0, 2.0]]);
+        scaler.transform_rows_in_place(&mut [1.0, 2.0, 3.0]);
     }
 
     #[test]

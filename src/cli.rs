@@ -728,11 +728,13 @@ mod tests {
 
     #[test]
     fn overflowing_edge_lists_fail_typed_with_exit_code_3() {
-        // A node id with no `id + 1`, and multiplicities whose sum (the
-        // bound on every projected pair weight) exceeds u32::MAX.
+        // A node id with no `id + 1`, multiplicities whose sum (the
+        // bound on every projected pair weight) exceeds u32::MAX, and a
+        // sparse id whose node count would need a ~12.8 GB projection.
         for (name, text) in [
             ("h_node_overflow.txt", "1 0 4294967295\n"),
             ("h_weight_overflow.txt", "4294967295 0 1\n4294967295 0 1\n"),
+            ("h_sparse_ids.txt", "1 0 400000000\n"),
         ] {
             let h_path = tmp(name);
             std::fs::write(&h_path, text).unwrap();

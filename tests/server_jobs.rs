@@ -299,9 +299,14 @@ fn bad_hyperparameters_round_trip_the_builder_message_as_400() {
     let response = client::post(addr, "/jobs", r#"{"dataset": "Atlantis"}"#).expect("submit");
     assert_eq!(response.status, 400);
 
-    // Edge lists that would overflow a node count or a pair weight are
-    // typed 400s, not a panic or a silently wrapped weight.
-    for edges in ["1 0 4294967295", "4294967295 0 1\n4294967295 0 1"] {
+    // Edge lists that would overflow a node count or a pair weight, or
+    // whose sparse ids would need a huge projection, are typed 400s, not
+    // a panic, an abort or a silently wrapped weight.
+    for edges in [
+        "1 0 4294967295",
+        "4294967295 0 1\n4294967295 0 1",
+        "1 0 400000000",
+    ] {
         let body = Json::Obj(vec![("edges".to_owned(), Json::str(edges))]);
         let response = client::post(addr, "/jobs", &body.to_string()).expect("submit");
         assert_eq!(response.status, 400, "{edges:?}: {}", response.body);
